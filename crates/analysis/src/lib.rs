@@ -11,8 +11,12 @@
 //! * [`parallel_map`] — scoped-thread, order-preserving parallel map;
 //! * [`Table`] — fixed-width and CSV table emission;
 //! * [`metrics`] — table renderers over a run's
-//!   [`MetricsSink`](emst_radio::MetricsSink) aggregates.
+//!   [`MetricsSink`](emst_radio::MetricsSink) aggregates;
+//! * [`json`] — the workspace's one JSON codec: the parser behind
+//!   service requests and BENCH checks, and the ordered encoder behind
+//!   service responses and BENCH files.
 
+pub mod json;
 pub mod metrics;
 pub mod parallel;
 pub mod regression;

@@ -19,13 +19,14 @@
 //! fragment's stage work is done and exhausted fragments sleep whole
 //! stages. The sweep **asserts** it beats plain `ghs_modified` on awake
 //! max at the largest measured size — the same pin `bench_summary
-//! --awake-schema` re-checks on the committed `BENCH_awake.json`
+//! --check` re-checks on the committed `BENCH_awake.json`
 //! (`bench_awake/v1`).
 //!
 //! Run: `cargo run --release -p emst-bench --bin awake_sweep [-- --trials N --quick --csv]`
 
+use emst_analysis::json::{Arr, Fixed, Layout, Obj};
 use emst_analysis::{fnum, Table};
-use emst_bench::{instance, run_trials, Options};
+use emst_bench::{instance, run_trials, write_bench, Options};
 use emst_core::{GhsVariant, Protocol, RankScheme, Sim};
 use emst_geom::paper_phase2_radius;
 
@@ -65,7 +66,7 @@ fn main() {
         opts.trials, opts.seed
     );
 
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Arr::with(Layout::ROWS);
     let mut wins: Vec<(usize, f64, f64)> = Vec::new();
     for &n in &sizes {
         let radius = paper_phase2_radius(n);
@@ -120,12 +121,16 @@ fn main() {
                 fnum(row.messages, 0),
                 fnum(row.rounds, 1),
             ]);
-            json_rows.push(format!(
-                "    {{\"n\": {n}, \"protocol\": \"{name}\", \"awake_total\": {:.1}, \
-                 \"awake_max\": {:.1}, \"energy\": {:.4}, \"messages\": {:.1}, \
-                 \"rounds\": {:.1}}}",
-                row.awake_total, row.awake_max, row.energy, row.messages, row.rounds,
-            ));
+            json_rows = json_rows.item(
+                Obj::with(Layout::SPACED)
+                    .field("n", n)
+                    .field("protocol", name)
+                    .field("awake_total", Fixed(row.awake_total, 1))
+                    .field("awake_max", Fixed(row.awake_max, 1))
+                    .field("energy", Fixed(row.energy, 4))
+                    .field("messages", Fixed(row.messages, 1))
+                    .field("rounds", Fixed(row.rounds, 1)),
+            );
         }
         wins.push((
             n,
@@ -160,17 +165,18 @@ fn main() {
         "ghs_lowawake never beat ghs_modified on max awake rounds at n={largest}"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"bench_awake/v1\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"trials\": {},\n", opts.trials));
-    json.push_str(&format!(
-        "  \"lowawake_win\": {{\"n\": {largest}, \"pass\": {win}}},\n"
-    ));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&json_rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    let path = "BENCH_awake.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_awake.json");
-    eprintln!("wrote {path}");
+    write_bench(
+        "BENCH_awake.json",
+        Obj::with(Layout::LINES)
+            .field("schema", "bench_awake/v1")
+            .field("seed", opts.seed)
+            .field("trials", opts.trials)
+            .field(
+                "lowawake_win",
+                Obj::with(Layout::SPACED)
+                    .field("n", largest)
+                    .field("pass", win),
+            )
+            .field("rows", json_rows),
+    );
 }

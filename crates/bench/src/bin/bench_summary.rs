@@ -41,27 +41,15 @@
 //! Both guards compare *best* reps so scheduler noise on shared CI
 //! runners doesn't flake the check.
 //!
-//! With `--churn-schema PATH`, the binary instead validates that the
-//! `BENCH_churn.json` at PATH parses under the `bench_churn/v1` schema
-//! (schema tag, top-level fields, every row carrying every column with
-//! parseable values, zero recorded invariant violations) and exits —
-//! the CI guard that `churn_sweep` output stays consumable by the
-//! tooling that reads it.
-//!
-//! With `--service-schema PATH`, it likewise validates a
-//! `BENCH_service.json` under the `bench_service/v1` schema (schema
-//! tag, every field present and parseable, finite positive throughput,
-//! p50 ≤ p99, hit rate in [0, 1], zero server errors) — the CI guard
-//! that `load_gen` output stays consumable.
-//!
-//! With `--awake-schema PATH`, it validates a `BENCH_awake.json` under
-//! the `bench_awake/v1` schema (schema tag, every row carrying every
-//! column with parseable values) **and re-checks the low-awake pin**: at
-//! the largest measured n, `ghs_lowawake` must beat `ghs_modified` on
-//! max-per-node awake rounds — the CI guard that the committed sweep
-//! output still certifies the variant's headline claim.
+//! With `--check PATH`, the binary instead validates the BENCH file at
+//! PATH against the schema its own `"schema"` tag names
+//! ([`emst_bench::check`]: declared fields and row columns, recorded
+//! guards passing, zero violations and server errors, and the re-derived
+//! low-awake pin) and exits — the CI guard that every BENCH writer's
+//! output stays consumable.
 
-use emst_bench::Options;
+use emst_analysis::json::{Arr, Fixed, Layout, Obj};
+use emst_bench::{write_bench, Options};
 use emst_core::{EoptConfig, GhsVariant, Instance, Protocol, RankScheme, Sim};
 use emst_geom::paper_phase2_radius;
 use std::time::Instant;
@@ -110,254 +98,15 @@ fn protocols(n: usize, large_only: bool) -> Vec<(&'static str, Protocol)> {
     v
 }
 
-/// Extracts the raw text of `key`'s value from a single-line JSON
-/// object (the hand-rolled row format both sweep writers emit).
-fn field<'a>(obj: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\": ");
-    let start = obj
-        .find(&pat)
-        .unwrap_or_else(|| panic!("row missing key {key:?}: {obj}"))
-        + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim()
-}
-
-/// Validates a `BENCH_churn.json` against the `bench_churn/v1` schema:
-/// schema tag, top-level fields, at least one row, every row carrying
-/// every column with a parseable value, and zero recorded invariant
-/// violations. Panics (non-zero exit) on any mismatch.
-fn validate_churn_schema(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    assert!(
-        text.contains("\"schema\": \"bench_churn/v1\""),
-        "{path}: missing or wrong schema tag (want bench_churn/v1)"
-    );
-    for key in ["seed", "trials", "epochs", "violations", "incremental_win"] {
-        assert!(
-            text.contains(&format!("\"{key}\": ")),
-            "{path}: missing top-level field {key:?}"
-        );
-    }
-    let header = text
-        .split("\"rows\": [")
-        .next()
-        .expect("split yields at least one piece");
-    let total_violations: u64 = field(header, "violations")
-        .parse()
-        .unwrap_or_else(|e| panic!("{path}: unparseable violations count: {e}"));
-    assert!(
-        total_violations == 0,
-        "{path}: records {total_violations} invariant violations"
-    );
-    let rows_at = text
-        .find("\"rows\": [")
-        .unwrap_or_else(|| panic!("{path}: missing rows array"));
-    let mut rows = 0usize;
-    for line in text[rows_at..].lines().skip(1) {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            break;
-        }
-        let obj = line.trim_end_matches(',');
-        rows += 1;
-        let strategy = field(obj, "strategy");
-        assert!(
-            strategy == "\"incremental\"" || strategy == "\"recompute\"",
-            "{path}: unknown strategy {strategy} in row {rows}"
-        );
-        for key in ["n", "epochs", "messages", "violations"] {
-            field(obj, key)
-                .parse::<f64>()
-                .unwrap_or_else(|e| panic!("{path}: row {rows} field {key:?}: {e}"));
-        }
-        for key in [
-            "rate",
-            "bootstrap_energy",
-            "maintenance_energy",
-            "energy_per_round",
-            "rounds",
-            "edges_added",
-            "edges_removed",
-        ] {
-            let value: f64 = field(obj, key)
-                .parse()
-                .unwrap_or_else(|e| panic!("{path}: row {rows} field {key:?}: {e}"));
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "{path}: row {rows} field {key:?} is {value}"
-            );
-        }
-    }
-    assert!(rows > 0, "{path}: rows array is empty");
-    println!("churn schema: {path} parses as bench_churn/v1 ({rows} rows, 0 violations)");
-}
-
-/// Validates a `BENCH_service.json` against the `bench_service/v1`
-/// schema: schema tag, every field present with a parseable value,
-/// finite positive throughput, latency percentiles ordered, cache hit
-/// rate in [0, 1], and zero server errors. Panics (non-zero exit) on
-/// any mismatch.
-fn validate_service_schema(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    // v2 = v1 + retry accounting (`retries`, `turnaways`) from the
-    // backoff-aware load generator; v1 documents stay valid.
-    let v2 = text.contains("\"schema\": \"bench_service/v2\"");
-    assert!(
-        v2 || text.contains("\"schema\": \"bench_service/v1\""),
-        "{path}: missing or wrong schema tag (want bench_service/v1 or /v2)"
-    );
-    let num = |key: &str| -> f64 {
-        field(&text, key)
-            .parse()
-            .unwrap_or_else(|e| panic!("{path}: field {key:?}: {e}"))
-    };
-    for key in [
-        "clients",
-        "requests",
-        "n",
-        "cold_ratio",
-        "warm_keys",
-        "wall_s",
-        "cache_hits",
-        "cache_misses",
-        "cache_evictions",
-        "responses_2xx",
-        "responses_4xx",
-    ] {
-        let value = num(key);
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "{path}: field {key:?} is {value}"
-        );
-    }
-    assert!(
-        field(&text, "protocol").starts_with('"'),
-        "{path}: field \"protocol\" is not a string"
-    );
-    let rps = num("rps");
-    assert!(
-        rps.is_finite() && rps > 0.0,
-        "{path}: rps is {rps} (want finite > 0)"
-    );
-    let (p50, p99) = (num("p50_ms"), num("p99_ms"));
-    assert!(
-        p50.is_finite() && p99.is_finite() && 0.0 <= p50 && p50 <= p99,
-        "{path}: latency percentiles disordered (p50 {p50} ms, p99 {p99} ms)"
-    );
-    let hit_rate = num("cache_hit_rate");
-    assert!(
-        (0.0..=1.0).contains(&hit_rate),
-        "{path}: cache_hit_rate is {hit_rate} (want [0, 1])"
-    );
-    let server_5xx = num("responses_5xx");
-    assert!(
-        server_5xx == 0.0,
-        "{path}: records {server_5xx} server errors (5xx)"
-    );
-    let mut retries = 0.0;
-    if v2 {
-        for key in ["retries", "turnaways"] {
-            let value = num(key);
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "{path}: field {key:?} is {value}"
-            );
-        }
-        retries = num("retries");
-    }
-    println!(
-        "service schema: {path} parses as bench_service/v{} \
-         ({rps:.0} req/s, p50 {p50:.2} ms, p99 {p99:.2} ms, hit rate {hit_rate:.2}, \
-         {retries} retries, 0 × 5xx)",
-        if v2 { 2 } else { 1 }
-    );
-}
-
-/// Validates a `BENCH_awake.json` against the `bench_awake/v1` schema:
-/// schema tag, top-level fields, at least one row, every row carrying
-/// every column with a parseable finite value, a recorded passing
-/// `lowawake_win`, and — re-derived from the rows themselves — the pin
-/// that `ghs_lowawake` beats `ghs_modified` on max-per-node awake rounds
-/// at the largest measured size. Panics (non-zero exit) on any mismatch.
-fn validate_awake_schema(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    assert!(
-        text.contains("\"schema\": \"bench_awake/v1\""),
-        "{path}: missing or wrong schema tag (want bench_awake/v1)"
-    );
-    for key in ["seed", "trials", "lowawake_win"] {
-        assert!(
-            text.contains(&format!("\"{key}\": ")),
-            "{path}: missing top-level field {key:?}"
-        );
-    }
-    assert!(
-        text.contains("\"pass\": true"),
-        "{path}: lowawake_win did not pass when the sweep ran"
-    );
-    let rows_at = text
-        .find("\"rows\": [")
-        .unwrap_or_else(|| panic!("{path}: missing rows array"));
-    let mut rows = 0usize;
-    // (n, protocol, awake_max) triples for the re-derived pin.
-    let mut maxima: Vec<(u64, String, f64)> = Vec::new();
-    for line in text[rows_at..].lines().skip(1) {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            break;
-        }
-        let obj = line.trim_end_matches(',');
-        rows += 1;
-        let protocol = field(obj, "protocol").trim_matches('"').to_string();
-        let n: u64 = field(obj, "n")
-            .parse()
-            .unwrap_or_else(|e| panic!("{path}: row {rows} field \"n\": {e}"));
-        for key in ["awake_total", "awake_max", "energy", "messages", "rounds"] {
-            let value: f64 = field(obj, key)
-                .parse()
-                .unwrap_or_else(|e| panic!("{path}: row {rows} field {key:?}: {e}"));
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "{path}: row {rows} field {key:?} is {value}"
-            );
-        }
-        let awake_max: f64 = field(obj, "awake_max").parse().expect("checked above");
-        maxima.push((n, protocol, awake_max));
-    }
-    assert!(rows > 0, "{path}: rows array is empty");
-    let largest = maxima.iter().map(|r| r.0).max().expect("rows > 0");
-    let at = |proto: &str| -> f64 {
-        maxima
-            .iter()
-            .find(|(n, p, _)| *n == largest && p == proto)
-            .unwrap_or_else(|| panic!("{path}: no {proto} row at n={largest}"))
-            .2
-    };
-    let (low, ghs) = (at("ghs_lowawake"), at("ghs_modified"));
-    assert!(
-        low < ghs,
-        "{path}: low-awake pin broken at n={largest}: ghs_lowawake awake_max {low} \
-         is not below ghs_modified {ghs}"
-    );
-    println!(
-        "awake schema: {path} parses as bench_awake/v1 ({rows} rows; pin at n={largest}: \
-         lowawake {low} < ghs {ghs})"
-    );
-}
-
 fn main() {
     let opts = Options::from_env();
-    if let Some(path) = &opts.churn_schema {
-        validate_churn_schema(path);
-        return;
-    }
-    if let Some(path) = &opts.service_schema {
-        validate_service_schema(path);
-        return;
-    }
-    if let Some(path) = &opts.awake_schema {
-        validate_awake_schema(path);
+    if let Some(path) = &opts.check {
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        match emst_bench::check::check(&text) {
+            Ok(what) => println!("check: {path} is valid {what}"),
+            Err(e) => panic!("check: {path}: {e}"),
+        }
         return;
     }
     let mut sizes: Vec<usize> = if opts.quick {
@@ -426,7 +175,10 @@ fn main() {
     let guard_row = rows
         .iter()
         .find(|r| r.protocol == GUARD_PROTOCOL && r.n == GUARD_N);
-    let mut guard_json = String::new();
+    let mut doc = Obj::with(Layout::LINES)
+        .field("schema", "bench_core/v1")
+        .field("seed", opts.seed)
+        .field("reps", reps);
     if let Some(g) = guard_row {
         let ratio = g.best_ms / GUARD_BASELINE_MEAN_MS;
         let pass = ratio <= GUARD_MAX_RATIO;
@@ -437,11 +189,16 @@ fn main() {
             ratio,
             if pass { "ok" } else { "REGRESSED" }
         );
-        guard_json = format!(
-            "  \"guard\": {{\"protocol\": \"{GUARD_PROTOCOL}\", \"n\": {GUARD_N}, \
-             \"baseline_mean_ms\": {GUARD_BASELINE_MEAN_MS}, \"max_ratio\": {GUARD_MAX_RATIO}, \
-             \"measured_best_ms\": {:.3}, \"ratio\": {:.3}, \"pass\": {pass}}},\n",
-            g.best_ms, ratio
+        doc = doc.field(
+            "guard",
+            Obj::with(Layout::SPACED)
+                .field("protocol", GUARD_PROTOCOL)
+                .field("n", GUARD_N)
+                .field("baseline_mean_ms", GUARD_BASELINE_MEAN_MS)
+                .field("max_ratio", GUARD_MAX_RATIO)
+                .field("measured_best_ms", Fixed(g.best_ms, 3))
+                .field("ratio", Fixed(ratio, 3))
+                .field("pass", pass),
         );
         if opts.guard {
             assert!(
@@ -459,7 +216,6 @@ fn main() {
     // Throughput-flatness guard: the scale curve must not bend. Baseline
     // is the FLAT_BASELINE_N row (smallest measured n if the sweep
     // skipped it), target is the largest measured n.
-    let mut flat_json = String::new();
     let mut ghs_rows: Vec<&Row> = rows
         .iter()
         .filter(|r| r.protocol == GUARD_PROTOCOL)
@@ -483,11 +239,15 @@ fn main() {
             ratio,
             if pass { "ok" } else { "REGRESSED" }
         );
-        flat_json = format!(
-            "  \"flatness\": {{\"protocol\": \"{GUARD_PROTOCOL}\", \"base_n\": {}, \
-             \"target_n\": {}, \"min_ratio\": {FLAT_MIN_RATIO}, \"ratio\": {:.3}, \
-             \"pass\": {pass}}},\n",
-            base.n, target.n, ratio
+        doc = doc.field(
+            "flatness",
+            Obj::with(Layout::SPACED)
+                .field("protocol", GUARD_PROTOCOL)
+                .field("base_n", base.n)
+                .field("target_n", target.n)
+                .field("min_ratio", FLAT_MIN_RATIO)
+                .field("ratio", Fixed(ratio, 3))
+                .field("pass", pass),
         );
         if opts.guard {
             assert!(
@@ -499,30 +259,17 @@ fn main() {
         }
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"bench_core/v1\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"reps\": {},\n", reps));
-    json.push_str(&guard_json);
-    json.push_str(&flat_json);
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"n\": {}, \"mean_ms\": {:.3}, \
-             \"best_ms\": {:.3}, \"nodes_per_s\": {:.0}, \"messages\": {}, \
-             \"best_msgs_per_s\": {:.0}}}{}\n",
-            r.protocol,
-            r.n,
-            r.mean_ms,
-            r.best_ms,
-            r.nodes_per_s,
-            r.messages,
-            r.best_msgs_per_s,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_core.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_core.json");
-    eprintln!("wrote {path}");
+    let rows = rows.iter().fold(Arr::with(Layout::ROWS), |rows, r| {
+        rows.item(
+            Obj::with(Layout::SPACED)
+                .field("protocol", r.protocol)
+                .field("n", r.n)
+                .field("mean_ms", Fixed(r.mean_ms, 3))
+                .field("best_ms", Fixed(r.best_ms, 3))
+                .field("nodes_per_s", Fixed(r.nodes_per_s, 0))
+                .field("messages", r.messages)
+                .field("best_msgs_per_s", Fixed(r.best_msgs_per_s, 0)),
+        )
+    });
+    write_bench("BENCH_core.json", doc.field("rows", rows));
 }

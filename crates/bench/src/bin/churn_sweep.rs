@@ -24,12 +24,13 @@
 //! conservation, forest validity, strategy/Kruskal agreement, bitwise
 //! determinism) and the sweep **aborts** on any violation — the sweep
 //! doubles as the CI churn smoke. Results land in `BENCH_churn.json`
-//! (`bench_churn/v1`, validated by `bench_summary --churn-schema`).
+//! (`bench_churn/v1`, validated by `bench_summary --check`).
 //!
 //! Run: `cargo run --release -p emst-bench --bin churn_sweep [-- --trials N --quick --csv]`
 
+use emst_analysis::json::{Arr, Fixed, Layout, Obj};
 use emst_analysis::{fnum, Table};
-use emst_bench::{churn_violations, instance, rate_timeline, Options};
+use emst_bench::{churn_violations, instance, rate_timeline, write_bench, Options};
 use emst_core::{maintain, MaintainReport, MaintainStrategy};
 use emst_geom::{mix_seed, paper_phase2_radius};
 
@@ -74,7 +75,7 @@ fn main() {
         opts.trials, opts.seed
     );
 
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Arr::with(Layout::ROWS);
     let mut wins: Vec<(usize, f64, f64, f64)> = Vec::new();
     let mut violation_count = 0usize;
     for &n in &sizes {
@@ -133,20 +134,21 @@ fn main() {
                     fnum(row.edges_removed, 1),
                     ratio_cell,
                 ]);
-                json_rows.push(format!(
-                    "    {{\"n\": {n}, \"rate\": {rate}, \"strategy\": \"{name}\", \
-                     \"epochs\": {EPOCHS}, \"bootstrap_energy\": {:.4}, \
-                     \"maintenance_energy\": {:.4}, \"energy_per_round\": {:.5}, \
-                     \"messages\": {:.1}, \"rounds\": {:.1}, \"edges_added\": {:.1}, \
-                     \"edges_removed\": {:.1}, \"violations\": 0}}",
-                    row.bootstrap_energy,
-                    row.energy,
-                    row.energy_per_round,
-                    row.messages,
-                    row.rounds,
-                    row.edges_added,
-                    row.edges_removed,
-                ));
+                json_rows = json_rows.item(
+                    Obj::with(Layout::SPACED)
+                        .field("n", n)
+                        .field("rate", rate)
+                        .field("strategy", name)
+                        .field("epochs", EPOCHS)
+                        .field("bootstrap_energy", Fixed(row.bootstrap_energy, 4))
+                        .field("maintenance_energy", Fixed(row.energy, 4))
+                        .field("energy_per_round", Fixed(row.energy_per_round, 5))
+                        .field("messages", Fixed(row.messages, 1))
+                        .field("rounds", Fixed(row.rounds, 1))
+                        .field("edges_added", Fixed(row.edges_added, 1))
+                        .field("edges_removed", Fixed(row.edges_removed, 1))
+                        .field("violations", 0u32),
+                );
             }
         }
         println!("-- maintenance cost under churn (n = {n}, {EPOCHS} epochs) --");
@@ -178,19 +180,20 @@ fn main() {
         "incremental maintenance never beat recomputation at n={largest}"
     );
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"bench_churn/v1\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"trials\": {},\n", opts.trials));
-    json.push_str(&format!("  \"epochs\": {EPOCHS},\n"));
-    json.push_str(&format!("  \"violations\": {violation_count},\n"));
-    json.push_str(&format!(
-        "  \"incremental_win\": {{\"n\": {largest}, \"pass\": {win}}},\n"
-    ));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&json_rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    let path = "BENCH_churn.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_churn.json");
-    eprintln!("wrote {path}");
+    write_bench(
+        "BENCH_churn.json",
+        Obj::with(Layout::LINES)
+            .field("schema", "bench_churn/v1")
+            .field("seed", opts.seed)
+            .field("trials", opts.trials)
+            .field("epochs", EPOCHS)
+            .field("violations", violation_count)
+            .field(
+                "incremental_win",
+                Obj::with(Layout::SPACED)
+                    .field("n", largest)
+                    .field("pass", win),
+            )
+            .field("rows", json_rows),
+    );
 }

@@ -30,8 +30,9 @@
 //!
 //! Run: `cargo run --release -p emst-bench --bin fault_sweep [-- --trials N --quick --csv]`
 
+use emst_analysis::json::{Arr, Fixed, Layout, Obj};
 use emst_analysis::{fnum, Table};
-use emst_bench::{repair_trial, run_trials, Options, RepairTrial};
+use emst_bench::{repair_trial, run_trials, write_bench, Options, RepairTrial};
 use emst_core::{EoptConfig, GhsVariant, Protocol, RankScheme};
 use std::collections::BTreeMap;
 
@@ -101,7 +102,7 @@ fn main() {
         opts.trials, opts.seed
     );
 
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Arr::with(Layout::ROWS);
     for (name, proto) in protocols() {
         for &n in &sizes {
             let rows: Vec<(f64, Row)> = ps
@@ -142,27 +143,26 @@ fn main() {
                     fnum(row.timeouts, 1),
                     stage_cell.clone(),
                 ]);
-                let stage_json = match &row.degraded_stage {
-                    Some((stage, _, _)) => format!("\"{stage}\""),
-                    None => "null".into(),
-                };
-                json_rows.push(format!(
-                    "    {{\"protocol\": \"{name}\", \"n\": {n}, \"p\": {p}, \
-                     \"completed\": {:.3}, \"repaired\": {:.3}, \"weight_ratio\": {:.4}, \
-                     \"energy\": {:.3}, \"energy_x\": {:.3}, \"repaired_energy\": {:.3}, \
-                     \"repair_attempts\": {:.2}, \"drops\": {:.1}, \"retries\": {:.1}, \
-                     \"timeouts\": {:.1}, \"degraded_stage\": {stage_json}}}",
-                    row.completed,
-                    row.repaired,
-                    row.weight_ratio,
-                    row.energy,
-                    row.energy / base_energy,
-                    row.repaired_energy,
-                    row.attempts,
-                    row.drops,
-                    row.retries,
-                    row.timeouts,
-                ));
+                json_rows = json_rows.item(
+                    Obj::with(Layout::SPACED)
+                        .field("protocol", name)
+                        .field("n", n)
+                        .field("p", *p)
+                        .field("completed", Fixed(row.completed, 3))
+                        .field("repaired", Fixed(row.repaired, 3))
+                        .field("weight_ratio", Fixed(row.weight_ratio, 4))
+                        .field("energy", Fixed(row.energy, 3))
+                        .field("energy_x", Fixed(row.energy / base_energy, 3))
+                        .field("repaired_energy", Fixed(row.repaired_energy, 3))
+                        .field("repair_attempts", Fixed(row.attempts, 2))
+                        .field("drops", Fixed(row.drops, 1))
+                        .field("retries", Fixed(row.retries, 1))
+                        .field("timeouts", Fixed(row.timeouts, 1))
+                        .field(
+                            "degraded_stage",
+                            row.degraded_stage.as_ref().map(|(stage, _, _)| stage),
+                        ),
+                );
             }
             println!("-- {name} under link faults (n = {n}) --");
             println!("{}", table.render());
@@ -172,14 +172,12 @@ fn main() {
         }
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"fault_sweep/v2\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    json.push_str(&format!("  \"trials\": {},\n", opts.trials));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&json_rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    let path = "BENCH_faults.json";
-    std::fs::write(path, &json).expect("cannot write BENCH_faults.json");
-    eprintln!("wrote {path}");
+    write_bench(
+        "BENCH_faults.json",
+        Obj::with(Layout::LINES)
+            .field("schema", "fault_sweep/v2")
+            .field("seed", opts.seed)
+            .field("trials", opts.trials)
+            .field("rows", json_rows),
+    );
 }

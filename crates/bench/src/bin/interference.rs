@@ -13,7 +13,7 @@
 
 use emst_analysis::{fnum, Table};
 use emst_bench::{instance, last_row, run_sweep_multi, Options, ReportError};
-use emst_core::{Protocol, RankScheme, RunError, RunOutput, Sim};
+use emst_core::{Protocol, RankScheme, RunOutcome, Sim};
 use emst_geom::paper_phase2_radius;
 use emst_radio::ContentionConfig;
 
@@ -31,7 +31,7 @@ fn inflation(seed: u64, n: usize, trial: u64, which: &str, p_attempt: f64) -> [f
         "bfs" => Protocol::Bfs { root: 0 },
         _ => unreachable!(),
     };
-    let sim = |contended: bool| -> Result<RunOutput, RunError> {
+    let sim = |contended: bool| -> RunOutcome {
         let mut sim = Sim::new(&pts);
         if let Protocol::Bfs { .. } = protocol {
             sim = sim.radius(paper_phase2_radius(n));
@@ -39,20 +39,22 @@ fn inflation(seed: u64, n: usize, trial: u64, which: &str, p_attempt: f64) -> [f
         if contended {
             sim = sim.contention(mac);
         }
-        sim.run_checked(protocol)
+        sim.try_run_checked(protocol)
+            .expect("contention over a reactive protocol is a valid config")
     };
-    let clean = sim(false).expect("collision-free reactive runs cannot abort");
+    let clean = sim(false)
+        .into_output()
+        .expect("collision-free reactive runs cannot abort");
     // A contended trial can abort on the §VIII livelock guard; the typed
     // error keeps one bad trial from tearing down the whole parallel
     // sweep (workers propagate panics). NaN ratios make the aborted
     // trial visible in the aggregates instead of silently skewing them.
-    let noisy = match sim(true) {
-        Ok(out) => out,
-        Err(err) => {
-            eprintln!("interference: contended {which} trial {trial} (n={n}) aborted: {err}");
-            return [f64::NAN, f64::NAN, f64::NAN, 0.0];
-        }
-    };
+    let noisy = sim(true);
+    if let Some(err) = noisy.error() {
+        eprintln!("interference: contended {which} trial {trial} (n={n}) aborted: {err}");
+        return [f64::NAN, f64::NAN, f64::NAN, 0.0];
+    }
+    let noisy = noisy.into_output().expect("only Failed carries no output");
     let (clean, noisy) = ((clean.tree, clean.stats), (noisy.tree, noisy.stats));
     [
         noisy.1.energy / clean.1.energy,

@@ -86,7 +86,8 @@ pub fn violations(pts: &[Point], protocol: Protocol, plan: &FaultPlan) -> Vec<St
         .with_faults(plan.clone())
         .repair(RepairPolicy::default())
         .sink(&mut sink)
-        .try_run(protocol);
+        .try_run_checked(protocol)
+        .expect("a fault plan with a radius and nothing else is a valid config");
     let Some(out) = outcome.output() else {
         // A typed abort is a legal outcome (not an invariant violation);
         // the error itself documents why.

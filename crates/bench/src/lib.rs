@@ -10,6 +10,7 @@
 //! can be regenerated in isolation.
 
 pub mod chaos;
+pub mod check;
 pub mod cli;
 pub mod fanout;
 pub mod report;
@@ -30,6 +31,14 @@ pub use runner::*;
 
 /// Base seed for all experiments.
 pub const BASE_SEED: u64 = 0xE0E7_2008;
+
+/// Writes a BENCH document (an object in
+/// [`Layout::LINES`](emst_analysis::json::Layout::LINES)) to `path`.
+pub fn write_bench(path: &str, doc: emst_analysis::json::Obj) {
+    std::fs::write(path, doc.finish() + "\n")
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    eprintln!("wrote {path}");
+}
 
 /// Writes an SVG next to the experiment's other outputs when `--svg DIR`
 /// was given; creates the directory as needed.

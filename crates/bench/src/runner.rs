@@ -179,7 +179,8 @@ pub fn fault_trial(seed: u64, n: usize, p: f64, protocol: Protocol, trial: u64) 
     let outcome = Sim::from_instance(&inst)
         .radius(paper_phase2_radius(n))
         .with_faults(plan)
-        .try_run(protocol);
+        .try_run_checked(protocol)
+        .expect("a fault plan with a radius and nothing else is a valid config");
     let faults = outcome.faults();
     let (completed, weight, energy) = match outcome.output() {
         Some(out) => (out.fragments == 1, out.tree.cost(1.0), out.stats.energy),
@@ -247,7 +248,8 @@ pub fn repair_trial(seed: u64, n: usize, p: f64, protocol: Protocol, trial: u64)
     let outcome = Sim::from_instance(&inst)
         .radius(radius)
         .with_faults(plan.clone())
-        .try_run(protocol);
+        .try_run_checked(protocol)
+        .expect("a fault plan with a radius and nothing else is a valid config");
     let faults = outcome.faults();
     let (completed, weight, energy) = match outcome.output() {
         Some(out) => (out.fragments == 1, out.tree.cost(1.0), out.stats.energy),
@@ -261,7 +263,8 @@ pub fn repair_trial(seed: u64, n: usize, p: f64, protocol: Protocol, trial: u64)
         .radius(radius)
         .with_faults(plan)
         .repair(RepairPolicy::default())
-        .try_run(protocol);
+        .try_run_checked(protocol)
+        .expect("a fault plan with a radius and nothing else is a valid config");
     let repair_attempts = fixed.repair().map(|r| r.attempts).unwrap_or(0);
     // `Repaired` spans the survivors by definition (crashed nodes stay
     // isolated); for drop-only sweep plans that coincides with a single

@@ -249,7 +249,8 @@ mod tests {
         let outcome = Sim::new(&pts)
             .radius(r)
             .with_faults(plan)
-            .try_run(Protocol::ElectionFlood);
+            .try_run_checked(Protocol::ElectionFlood)
+            .unwrap();
         let faults = outcome.faults();
         assert!(faults.drops > 0, "lossy plan must actually drop messages");
         let out = outcome

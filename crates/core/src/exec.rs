@@ -35,7 +35,7 @@ use emst_radio::{
 /// energy model, fault plan, trace sink and topology cache), the optional
 /// contention layer, and the per-stage delta log.
 ///
-/// Constructed once per [`Sim::try_run`](crate::Sim::try_run); protocol
+/// Constructed once per [`Sim::try_run_checked`](crate::Sim::try_run_checked); protocol
 /// drivers only ever see `&mut ExecEnv` and express themselves as stage
 /// sequences.
 pub struct ExecEnv<'a> {

@@ -39,7 +39,7 @@
 //! singleton fragments. Success means the repaired forest spans **all
 //! surviving nodes** — nodes alive at the round repair started.
 //!
-//! The caller ([`Sim::try_run`](crate::Sim::try_run)) upgrades a
+//! The caller ([`Sim::try_run_checked`](crate::Sim::try_run_checked)) upgrades a
 //! successful repair to [`RunOutcome::Repaired`](crate::RunOutcome); an
 //! exhausted policy leaves the (still improved) forest classified
 //! `Degraded`. Clean runs never reach this module, so enabling repair is

@@ -93,12 +93,11 @@ impl From<EngineError> for RunError {
 
 /// A malformed [`Sim`] configuration, detected before anything executes.
 ///
-/// [`Sim::run`]/[`Sim::try_run`] keep their historical panic behaviour on
-/// these — inside one experiment binary a bad configuration is a
-/// programming error and the backtrace is the feature. Long-lived callers
-/// (the trial service) use [`Sim::try_run_checked`], which returns them
-/// as values instead: a malformed request must never take the process
-/// down.
+/// [`Sim::try_run_checked`] returns these as values: a malformed request
+/// must never take a long-lived caller (the trial service) down.
+/// [`Sim::run`] panics on them instead — inside one experiment binary a
+/// bad configuration is a programming error and the backtrace is the
+/// feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// A radius-bound protocol (GHS, BFS, the elections) ran without
@@ -357,7 +356,7 @@ impl RunOutput {
     }
 }
 
-/// Result of a fallible protocol run ([`Sim::try_run`]).
+/// Result of a fallible protocol run ([`Sim::try_run_checked`]).
 ///
 /// Without a fault plan every run is [`RunOutcome::Complete`] (or panics
 /// on a genuine logic error, exactly as before). With faults injected the
@@ -614,39 +613,25 @@ impl<'a> Sim<'a> {
         self
     }
 
-    /// Executes `protocol` and returns the uniform [`RunOutput`].
+    /// Executes `protocol` and returns the uniform [`RunOutput`] — the
+    /// one panicking convenience over [`Sim::try_run_checked`].
     ///
     /// Degraded fault-injected runs still return their (possibly
-    /// partial) output; use [`Sim::try_run`] to distinguish them.
+    /// partial) output; use [`Sim::try_run_checked`] to distinguish them.
     ///
     /// # Panics
     ///
-    /// If GHS/BFS run without a radius, if BFS's root is out of range,
-    /// if a contention layer is combined with an orchestrated protocol
-    /// (GHS/EOPT) or with fault injection, or if the run aborts with a
-    /// [`RunError`].
+    /// On any [`ConfigError`] (missing radius, out-of-range root,
+    /// contention combined with GHS/EOPT or with fault injection, faults
+    /// combined with a membership or with awake tracking), or if the run
+    /// aborts with a [`RunError`].
     pub fn run(self, protocol: Protocol) -> RunOutput {
-        match self.run_checked(protocol) {
-            Ok(o) => o,
-            Err(error) => panic!("{error}"),
-        }
-    }
-
-    /// Executes `protocol`, returning the output or the typed abort
-    /// reason instead of panicking. This is the entrypoint for parallel
-    /// fan-out workers (bench sweeps), where one aborted trial must
-    /// surface as a row-level error, not tear down the whole sweep.
-    ///
-    /// # Panics
-    ///
-    /// Only on configuration errors, like [`Sim::try_run`] — never on
-    /// what happens during the run.
-    pub fn run_checked(self, protocol: Protocol) -> Result<RunOutput, RunError> {
-        match self.try_run(protocol) {
-            RunOutcome::Complete(o)
-            | RunOutcome::Repaired { output: o, .. }
-            | RunOutcome::Degraded { output: o, .. } => Ok(o),
-            RunOutcome::Failed { error, .. } => Err(error),
+        match self.try_run_checked(protocol) {
+            Err(e) => panic!("{e}"),
+            Ok(RunOutcome::Failed { error, .. }) => panic!("{error}"),
+            Ok(outcome) => outcome
+                .into_output()
+                .expect("only Failed carries no output"),
         }
     }
 
@@ -706,22 +691,6 @@ impl<'a> Sim<'a> {
             Protocol::ElectionTree => self.radius.ok_or(ConfigError::MissingRadius {
                 protocol: "Protocol::ElectionTree",
             }),
-        }
-    }
-
-    /// Executes `protocol`, classifying the result instead of panicking
-    /// on fault-induced damage: see [`RunOutcome`].
-    ///
-    /// # Panics
-    ///
-    /// Only on configuration errors (missing radius, out-of-range root,
-    /// contention combined with GHS/EOPT or with fault injection, faults
-    /// combined with a membership) — never on what happens during the
-    /// run. Use [`Sim::try_run_checked`] to get those as values too.
-    pub fn try_run(self, protocol: Protocol) -> RunOutcome {
-        match self.try_run_checked(protocol) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
         }
     }
 

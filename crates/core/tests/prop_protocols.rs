@@ -144,7 +144,8 @@ fn repaired_outcome_is_reachable_and_sound() {
             .with_faults(plan)
             .repair(RepairPolicy::default())
             .sink(&mut sink)
-            .try_run(Protocol::Ghs(GhsVariant::Modified));
+            .try_run_checked(Protocol::Ghs(GhsVariant::Modified))
+            .unwrap();
         if matches!(outcome, RunOutcome::Repaired { .. }) {
             repaired_soundness(&outcome, pts.len(), &never_crashed, &sink).unwrap();
             return;
@@ -262,7 +263,7 @@ proptest! {
             .with_faults(plan)
             .repair(RepairPolicy::default())
             .sink(&mut sink)
-            .try_run(Protocol::Ghs(GhsVariant::Modified));
+            .try_run_checked(Protocol::Ghs(GhsVariant::Modified)).unwrap();
         match &outcome {
             RunOutcome::Repaired { .. } => {
                 prop_assert_eq!(

@@ -25,7 +25,7 @@
 //! connection-closing turn-away, and reports the retry total in the
 //! results document rather than failing.
 
-use emst_service::json::Json;
+use emst_service::json::{Json, Layout, Obj};
 use emst_service::{serve, Client, ServiceConfig};
 use std::io::Write;
 use std::time::Instant;
@@ -147,17 +147,15 @@ fn body_for(o: &Options, seed: u64) -> String {
         o.protocol.as_str(),
         "ghs_original" | "ghs_modified" | "bfs" | "election_flood" | "election_tree"
     );
+    let body = Obj::new()
+        .field("protocol", &o.protocol)
+        .field("n", o.n)
+        .field("seed", seed);
     if needs_radius {
-        let radius = emst_geom::paper_phase2_radius(o.n);
-        format!(
-            r#"{{"protocol":"{}","n":{},"seed":{seed},"radius":{radius}}}"#,
-            o.protocol, o.n
-        )
+        body.field("radius", emst_geom::paper_phase2_radius(o.n))
+            .finish()
     } else {
-        format!(
-            r#"{{"protocol":"{}","n":{},"seed":{seed}}}"#,
-            o.protocol, o.n
-        )
+        body.finish()
     }
 }
 
@@ -356,39 +354,29 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let turnaways = counter("lifecycle", "turnaways");
     let server_5xx = counter("requests", "server_5xx").saturating_sub(turnaways);
 
-    let doc = format!(
-        r#"{{
-  "schema": "bench_service/v2",
-  "clients": {},
-  "requests": {total},
-  "n": {},
-  "protocol": "{}",
-  "cold_ratio": {},
-  "warm_keys": {},
-  "wall_s": {wall_s},
-  "rps": {rps},
-  "p50_ms": {p50_ms},
-  "p99_ms": {p99_ms},
-  "cache_hits": {hits},
-  "cache_misses": {misses},
-  "cache_hit_rate": {hit_rate},
-  "cache_evictions": {},
-  "responses_2xx": {},
-  "responses_4xx": {},
-  "responses_5xx": {server_5xx},
-  "retries": {retries},
-  "turnaways": {turnaways}
-}}
-"#,
-        o.clients,
-        o.n,
-        o.protocol,
-        o.cold_ratio,
-        o.warm_keys,
-        counter("cache", "evictions"),
-        counter("requests", "ok_2xx"),
-        counter("requests", "client_4xx"),
-    );
+    let doc = Obj::with(Layout::LINES)
+        .field("schema", "bench_service/v2")
+        .field("clients", o.clients)
+        .field("requests", total)
+        .field("n", o.n)
+        .field("protocol", &o.protocol)
+        .field("cold_ratio", o.cold_ratio)
+        .field("warm_keys", o.warm_keys)
+        .field("wall_s", wall_s)
+        .field("rps", rps)
+        .field("p50_ms", p50_ms)
+        .field("p99_ms", p99_ms)
+        .field("cache_hits", hits)
+        .field("cache_misses", misses)
+        .field("cache_hit_rate", hit_rate)
+        .field("cache_evictions", counter("cache", "evictions"))
+        .field("responses_2xx", counter("requests", "ok_2xx"))
+        .field("responses_4xx", counter("requests", "client_4xx"))
+        .field("responses_5xx", server_5xx)
+        .field("retries", retries)
+        .field("turnaways", turnaways)
+        .finish()
+        + "\n";
     let mut f = std::fs::File::create(&o.out)?;
     f.write_all(doc.as_bytes())?;
     println!(

@@ -33,7 +33,7 @@
 //! (`drained + aborted` covers every open connection) and wall-clock
 //! bound. Exits non-zero on any violation.
 
-use emst_service::json::Json;
+use emst_service::json::{Json, Obj};
 use emst_service::{serve, Client, Drain, ServiceConfig};
 use rand::Rng;
 use std::io::{Read, Write};
@@ -453,11 +453,13 @@ fn chunked_request(addr: &str) -> Result<(), String> {
 fn mid_stream_disconnect(addr: &str, s: &Scenario) -> Result<(), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
     let n = 800 + s.param * 200;
-    let body = format!(
-        r#"{{"protocol": "ghs_modified", "n": {n}, "seed": {}, "radius": {}, "stream": "summary"}}"#,
-        s.seed,
-        emst_geom::paper_phase2_radius(n as usize)
-    );
+    let body = Obj::new()
+        .field("protocol", "ghs_modified")
+        .field("n", n)
+        .field("seed", s.seed)
+        .field("radius", emst_geom::paper_phase2_radius(n as usize))
+        .field("stream", "summary")
+        .finish();
     write!(
         stream,
         "POST /run HTTP/1.1\r\nHost: emst\r\nContent-Length: {}\r\n\r\n{body}",
@@ -515,7 +517,11 @@ fn turned_away(e: &std::io::Error) -> bool {
 
 fn session_abandon(addr: &str, s: &Scenario) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let body = format!(r#"{{"n": 40, "seed": {}, "radius": 0.5}}"#, s.seed % 1000);
+    let body = Obj::new()
+        .field("n", 40u32)
+        .field("seed", s.seed % 1000)
+        .field("radius", 0.5)
+        .finish();
     let resp = match client.post("/session", body.as_bytes()) {
         Ok(resp) => resp,
         Err(e) if turned_away(&e) => return Ok(()),
@@ -592,11 +598,12 @@ fn drain_under_load(seed: u64) -> Result<(), Box<dyn std::error::Error>> {
                 };
                 let mut i = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let body = format!(
-                        r#"{{"protocol": "ghs_modified", "n": 1500, "seed": {}, "radius": {}}}"#,
-                        emst_geom::mix_seed(seed, c * 1000 + i),
-                        emst_geom::paper_phase2_radius(1500)
-                    );
+                    let body = Obj::new()
+                        .field("protocol", "ghs_modified")
+                        .field("n", 1500u32)
+                        .field("seed", emst_geom::mix_seed(seed, c * 1000 + i))
+                        .field("radius", emst_geom::paper_phase2_radius(1500))
+                        .finish();
                     if client.post("/run", body.as_bytes()).is_err() {
                         break;
                     }

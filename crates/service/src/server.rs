@@ -41,6 +41,7 @@ use crate::http::{
     read_request, write_chunked_head, write_response, write_response_with, ChunkedWriter,
     HttpRequest, RequestReadError,
 };
+use crate::json::{Arr, Obj};
 use crate::request::{
     AdvanceRequest, ChurnRequest, RequestError, SessionRequest, StreamMode, TrialRequest,
 };
@@ -176,7 +177,7 @@ impl ServiceState {
             503,
             "application/json",
             &[("Retry-After", &retry_after), ("Connection", "close")],
-            br#"{"t":"error","code":"overloaded","message":"connection limit reached"}"#,
+            error_body("overloaded", "connection limit reached").as_bytes(),
         );
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -517,10 +518,22 @@ fn handle_healthz(state: &ServiceState, writer: &mut &TcpStream) -> io::Result<(
     // Degraded = still serving, but saturated: new connections or
     // sessions would be turned away right now.
     let degraded = open >= state.max_connections as u64 || sessions_open >= sessions_cap;
-    let body = format!(
-        r#"{{"ok":true,"degraded":{degraded},"connections":{{"open":{open},"cap":{}}},"sessions":{{"open":{sessions_open},"cap":{sessions_cap}}}}}"#,
-        state.max_connections
-    );
+    let body = Obj::new()
+        .field("ok", true)
+        .field("degraded", degraded)
+        .field(
+            "connections",
+            Obj::new()
+                .field("open", open)
+                .field("cap", state.max_connections),
+        )
+        .field(
+            "sessions",
+            Obj::new()
+                .field("open", sessions_open)
+                .field("cap", sessions_cap),
+        )
+        .finish();
     respond(state, writer, 200, body.as_bytes())
 }
 
@@ -606,8 +619,8 @@ fn execute_single(
             .try_run_checked(req.protocol)
             .expect("configuration pre-flighted");
         state.note_awake(&outcome);
-        let line = render_outcome(req, req.trial, cache_hit, &outcome);
-        return respond(state, writer, 200, line.as_bytes());
+        let body = render_outcome(req, req.trial, cache_hit, &outcome).finish();
+        return respond(state, writer, 200, body.as_bytes());
     }
 
     // Streaming: chunked NDJSON of trace events, then the result line.
@@ -632,7 +645,7 @@ fn execute_single(
     };
     jsonl.finish()?;
     state.note_awake(&outcome);
-    let line = render_outcome(req, req.trial, cache_hit, &outcome);
+    let line = render_outcome(req, req.trial, cache_hit, &outcome).finish();
     writeln!(chunked, "{line}")?;
     chunked.finish()
 }
@@ -660,50 +673,57 @@ fn execute_batch(
         render_outcome(req, t, cache_hit, &outcome)
     });
 
-    let mut body = String::with_capacity(rows.len() * 160 + 128);
-    body.push_str(&format!(
-        r#"{{"t":"batch","protocol":"{}","n":{},"seed":{},"trials":{},"rows":["#,
-        req.protocol_name, req.n, req.seed, req.trials
-    ));
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(row);
-    }
-    body.push_str("]}");
+    let body = Obj::new()
+        .field("t", "batch")
+        .field("protocol", &req.protocol_name)
+        .field("n", req.n)
+        .field("seed", req.seed)
+        .field("trials", req.trials)
+        .field("rows", rows.into_iter().fold(Arr::new(), Arr::item))
+        .finish();
     respond(state, writer, 200, body.as_bytes())
 }
 
-/// Renders one epoch report as the canonical NDJSON line. Shared by the
-/// one-shot `/run` churn path, session advances, and session trace tails
-/// — one renderer, so the bitwise-identity contract between replay and
-/// standing sessions extends to the wire bytes.
-fn render_epoch(e: &EpochReport) -> String {
-    format!(
-        r#"{{"t":"epoch","epoch":{},"live":{},"arrivals":{},"departures":{},"energy":{},"energy_bits":{},"messages":{},"rounds":{},"edges_added":{},"edges_removed":{},"fragments":{},"ledger_conserved":{},"forest_valid":{}}}"#,
-        e.epoch,
-        e.live,
-        e.arrivals,
-        e.departures,
-        e.energy,
-        e.energy.to_bits(),
-        e.messages,
-        e.rounds,
-        e.edges_added,
-        e.edges_removed,
-        e.fragments,
-        e.ledger_conserved,
-        e.forest_valid
-    )
+/// Renders one epoch report as the canonical NDJSON object. Shared by
+/// the one-shot `/run` churn path, session advances, and session trace
+/// tails — one renderer, so the bitwise-identity contract between replay
+/// and standing sessions extends to the wire bytes.
+fn render_epoch(e: &EpochReport) -> Obj {
+    Obj::new()
+        .field("t", "epoch")
+        .field("epoch", e.epoch)
+        .field("live", e.live)
+        .field("arrivals", e.arrivals)
+        .field("departures", e.departures)
+        .field("energy", e.energy)
+        .field("energy_bits", e.energy.to_bits())
+        .field("messages", e.messages)
+        .field("rounds", e.rounds)
+        .field("edges_added", e.edges_added)
+        .field("edges_removed", e.edges_removed)
+        .field("fragments", e.fragments)
+        .field("ledger_conserved", e.ledger_conserved)
+        .field("forest_valid", e.forest_valid)
 }
 
 /// Renders a cumulative session ledger snapshot.
-fn render_ledger(l: &SessionLedger) -> String {
-    format!(
-        r#"{{"epoch":{},"energy_bits":{},"messages":{},"rounds":{},"conserved":{}}}"#,
-        l.epoch, l.energy_bits, l.messages, l.rounds, l.conserved
-    )
+fn render_ledger(l: &SessionLedger) -> Obj {
+    Obj::new()
+        .field("epoch", l.epoch)
+        .field("energy_bits", l.energy_bits)
+        .field("messages", l.messages)
+        .field("rounds", l.rounds)
+        .field("conserved", l.conserved)
+}
+
+/// Renders a session's bootstrap construction cost.
+fn render_bootstrap(energy: f64, messages: u64, rounds: u64, conserved: bool) -> Obj {
+    Obj::new()
+        .field("energy", energy)
+        .field("energy_bits", energy.to_bits())
+        .field("messages", messages)
+        .field("rounds", rounds)
+        .field("conserved", conserved)
 }
 
 fn strategy_name(s: MaintainStrategy) -> &'static str {
@@ -723,52 +743,50 @@ fn execute_churn(
     let (instance, cache_hit) = state.cache.get_or_generate(key_for(req, req.trial));
     let report = maintain(instance.points(), radius, &churn.timeline, churn.strategy);
 
-    let strategy = strategy_name(churn.strategy);
-    let epoch_lines: Vec<String> = report.epochs.iter().map(render_epoch).collect();
-    let summary = format!(
-        r#"{{"t":"maintain","protocol":"{}","n":{},"seed":{},"strategy":"{strategy}","radius":{},"cache_hit":{cache_hit},"bootstrap":{{"energy":{},"energy_bits":{},"messages":{},"rounds":{},"conserved":{}}},"epochs_run":{},"maintenance_energy":{},"maintenance_energy_bits":{},"maintenance_messages":{},"final_live":{},"final_forest_edges":{}}}"#,
-        req.protocol_name,
-        req.n,
-        req.seed,
-        radius,
-        report.bootstrap_energy,
-        report.bootstrap_energy.to_bits(),
-        report.bootstrap_messages,
-        report.bootstrap_rounds,
-        report.bootstrap_conserved,
-        report.epochs.len(),
-        report.maintenance_energy(),
-        report.maintenance_energy().to_bits(),
-        report.maintenance_messages(),
-        report.members.live_count(),
-        report.forest.len()
-    );
+    let summary = Obj::new()
+        .field("t", "maintain")
+        .field("protocol", &req.protocol_name)
+        .field("n", req.n)
+        .field("seed", req.seed)
+        .field("strategy", strategy_name(churn.strategy))
+        .field("radius", radius)
+        .field("cache_hit", cache_hit)
+        .field(
+            "bootstrap",
+            render_bootstrap(
+                report.bootstrap_energy,
+                report.bootstrap_messages,
+                report.bootstrap_rounds,
+                report.bootstrap_conserved,
+            ),
+        )
+        .field("epochs_run", report.epochs.len())
+        .field("maintenance_energy", report.maintenance_energy())
+        .field(
+            "maintenance_energy_bits",
+            report.maintenance_energy().to_bits(),
+        )
+        .field("maintenance_messages", report.maintenance_messages())
+        .field("final_live", report.members.live_count())
+        .field("final_forest_edges", report.forest.len());
+    let epochs = report.epochs.iter().map(render_epoch);
 
     if req.stream == StreamMode::Off {
-        let mut body = String::with_capacity(
-            summary.len() + epoch_lines.iter().map(String::len).sum::<usize>() + 64,
-        );
         // Single document: the summary object with the epoch reports
         // inlined as an array.
-        body.push_str(&summary[..summary.len() - 1]);
-        body.push_str(",\"epochs\":[");
-        for (i, line) in epoch_lines.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(line);
-        }
-        body.push_str("]}");
+        let body = summary
+            .field("epochs", epochs.fold(Arr::new(), Arr::item))
+            .finish();
         return respond(state, writer, 200, body.as_bytes());
     }
 
     state.count(200);
     write_chunked_head(writer, 200, "application/x-ndjson")?;
     let mut chunked = ChunkedWriter::new(&mut *writer);
-    for line in &epoch_lines {
-        writeln!(chunked, "{line}")?;
+    for line in epochs {
+        writeln!(chunked, "{}", line.finish())?;
     }
-    writeln!(chunked, "{summary}")?;
+    writeln!(chunked, "{}", summary.finish())?;
     chunked.finish()
 }
 
@@ -799,16 +817,21 @@ fn handle_session_create(
     let ledger = session.ledger();
     match state.sessions.create(session) {
         Ok(id) => {
-            let body = format!(
-                r#"{{"t":"session","id":{id},"n":{},"seed":{},"trial":{},"radius":{},"strategy":"{}","cache_hit":{cache_hit},"bootstrap":{{"energy":{boot_energy},"energy_bits":{},"messages":{boot_messages},"rounds":{boot_rounds},"conserved":{boot_conserved}}},"ledger":{}}}"#,
-                req.n,
-                req.seed,
-                req.trial,
-                req.radius,
-                strategy_name(req.strategy),
-                boot_energy.to_bits(),
-                render_ledger(&ledger)
-            );
+            let body = Obj::new()
+                .field("t", "session")
+                .field("id", id)
+                .field("n", req.n)
+                .field("seed", req.seed)
+                .field("trial", req.trial)
+                .field("radius", req.radius)
+                .field("strategy", strategy_name(req.strategy))
+                .field("cache_hit", cache_hit)
+                .field(
+                    "bootstrap",
+                    render_bootstrap(boot_energy, boot_messages, boot_rounds, boot_conserved),
+                )
+                .field("ledger", render_ledger(&ledger))
+                .finish();
             respond(state, writer, 200, body.as_bytes())
         }
         Err(_) => respond_error_retry(
@@ -889,14 +912,17 @@ fn handle_session_advance(
     let advanced = catch_unwind(AssertUnwindSafe(|| session.advance(events)));
     match advanced {
         Ok(report) => {
-            let line = render_epoch(&report);
             let ledger = session.ledger();
-            state.sessions.checkin(id, session, line.clone());
-            let body = format!(
-                r#"{{"t":"advance","id":{id},"epoch":{},"ledger":{},"report":{line}}}"#,
-                report.epoch,
-                render_ledger(&ledger)
-            );
+            state
+                .sessions
+                .checkin(id, session, render_epoch(&report).finish());
+            let body = Obj::new()
+                .field("t", "advance")
+                .field("id", id)
+                .field("epoch", report.epoch)
+                .field("ledger", render_ledger(&ledger))
+                .field("report", render_epoch(&report))
+                .finish();
             respond(state, writer, 200, body.as_bytes())
         }
         Err(_) => {
@@ -910,10 +936,12 @@ fn handle_session_advance(
 fn handle_session_delete(state: &ServiceState, id: u64, writer: &mut &TcpStream) -> io::Result<()> {
     match state.sessions.delete(id) {
         Ok((ledger, conserved)) => {
-            let body = format!(
-                r#"{{"t":"session_deleted","id":{id},"ledger":{},"conserved_at_reclaim":{conserved}}}"#,
-                render_ledger(&ledger)
-            );
+            let body = Obj::new()
+                .field("t", "session_deleted")
+                .field("id", id)
+                .field("ledger", render_ledger(&ledger))
+                .field("conserved_at_reclaim", conserved)
+                .finish();
             respond(state, writer, 200, body.as_bytes())
         }
         Err(SessionError::NotFound) => {
@@ -976,20 +1004,22 @@ fn handle_session_trace(
             for line in &tail.lines {
                 writeln!(chunked, "{line}")?;
             }
-            writeln!(
-                chunked,
-                r#"{{"t":"trace_tail","id":{id},"next":{},"epochs_run":{}}}"#,
-                tail.next, tail.epochs_run
-            )?;
+            let tail_line = Obj::new()
+                .field("t", "trace_tail")
+                .field("id", id)
+                .field("next", tail.next)
+                .field("epochs_run", tail.epochs_run)
+                .finish();
+            writeln!(chunked, "{tail_line}")?;
             chunked.finish()
         }
     }
 }
 
-/// Renders one trial's outcome as a JSON object (no trailing newline).
-/// Energies carry both the decimal value and the exact bit pattern so
-/// clients can verify bit-identity against direct runs.
-fn render_outcome(req: &TrialRequest, trial: u64, cache_hit: bool, outcome: &RunOutcome) -> String {
+/// Renders one trial's outcome as a JSON object. Energies carry both the
+/// decimal value and the exact bit pattern so clients can verify
+/// bit-identity against direct runs.
+fn render_outcome(req: &TrialRequest, trial: u64, cache_hit: bool, outcome: &RunOutcome) -> Obj {
     let tag = match outcome {
         RunOutcome::Complete(_) => "complete",
         RunOutcome::Repaired { .. } => "repaired",
@@ -997,92 +1027,122 @@ fn render_outcome(req: &TrialRequest, trial: u64, cache_hit: bool, outcome: &Run
         RunOutcome::Failed { .. } => "failed",
     };
     let faults = outcome.faults();
-    let mut s = format!(
-        r#"{{"t":"result","protocol":"{}","n":{},"seed":{},"trial":{trial},"outcome":"{tag}","cache_hit":{cache_hit},"faults":{{"drops":{},"retries":{},"timeouts":{}}}"#,
-        req.protocol_name, req.n, req.seed, faults.drops, faults.retries, faults.timeouts
-    );
-    match outcome {
-        RunOutcome::Failed { error, .. } => {
-            s.push_str(&format!(r#","error":"{}""#, esc(&error.to_string())));
-        }
-        _ => {
-            let output = outcome.output().expect("non-failed outcome has output");
-            let stats = &output.stats;
-            s.push_str(&format!(
-                r#","energy":{},"energy_bits":{},"rx_energy_bits":{},"idle_energy_bits":{},"messages":{},"rounds":{},"fragments":{},"edges":{}"#,
-                stats.energy,
-                stats.energy.to_bits(),
-                stats.rx_energy.to_bits(),
-                stats.idle_energy.to_bits(),
-                stats.messages,
-                stats.rounds,
-                output.fragments,
-                output.tree.edges().len()
-            ));
-            if let Some(awake) = output.awake() {
-                s.push_str(&format!(
-                    r#","awake_rounds":{},"awake_max":{}"#,
-                    awake.total, awake.max_per_node
-                ));
-            }
-            if let Some(repair) = outcome.repair() {
-                s.push_str(&format!(
-                    r#","repair":{{"attempts":{},"edges_added":{},"fragments_before":{},"fragments_after":{}}}"#,
-                    repair.attempts,
-                    repair.edges_added,
-                    repair.fragments_before,
-                    repair.fragments_after
-                ));
-            }
-            s.push_str(r#","ledger":{"#);
-            for (i, (kind, tally)) in stats.ledger.kinds().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    r#""{kind}":{{"messages":{},"energy_bits":{}}}"#,
-                    tally.messages,
-                    tally.energy.to_bits()
-                ));
-            }
-            s.push('}');
-        }
+    let o = Obj::new()
+        .field("t", "result")
+        .field("protocol", &req.protocol_name)
+        .field("n", req.n)
+        .field("seed", req.seed)
+        .field("trial", trial)
+        .field("outcome", tag)
+        .field("cache_hit", cache_hit)
+        .field(
+            "faults",
+            Obj::new()
+                .field("drops", faults.drops)
+                .field("retries", faults.retries)
+                .field("timeouts", faults.timeouts),
+        );
+    let Some(output) = outcome.output() else {
+        let error = outcome.error().expect("an outcome without output failed");
+        return o.field("error", error.to_string());
+    };
+    let stats = &output.stats;
+    let mut o = o
+        .field("energy", stats.energy)
+        .field("energy_bits", stats.energy.to_bits())
+        .field("rx_energy_bits", stats.rx_energy.to_bits())
+        .field("idle_energy_bits", stats.idle_energy.to_bits())
+        .field("messages", stats.messages)
+        .field("rounds", stats.rounds)
+        .field("fragments", output.fragments)
+        .field("edges", output.tree.edges().len());
+    if let Some(awake) = output.awake() {
+        o = o
+            .field("awake_rounds", awake.total)
+            .field("awake_max", awake.max_per_node);
     }
-    s.push('}');
-    s
+    if let Some(repair) = outcome.repair() {
+        o = o.field(
+            "repair",
+            Obj::new()
+                .field("attempts", repair.attempts)
+                .field("edges_added", repair.edges_added)
+                .field("fragments_before", repair.fragments_before)
+                .field("fragments_after", repair.fragments_after),
+        );
+    }
+    let ledger = stats.ledger.kinds().fold(Obj::new(), |l, (kind, tally)| {
+        l.field(
+            kind,
+            Obj::new()
+                .field("messages", tally.messages)
+                .field("energy_bits", tally.energy.to_bits()),
+        )
+    });
+    o.field("ledger", ledger)
 }
 
 fn stats_json(state: &ServiceState) -> String {
     let cache = state.cache.stats();
     let sessions = state.sessions.stats();
-    format!(
-        r#"{{"t":"stats","cache":{{"hits":{},"misses":{},"evictions":{},"len":{},"capacity":{},"hit_rate":{}}},"requests":{{"total":{},"ok_2xx":{},"client_4xx":{},"server_5xx":{}}},"awake":{{"runs":{},"rounds_total":{}}},"lifecycle":{{"connections_open":{},"turnaways":{},"idle_closed":{},"request_timeouts":{}}},"sessions":{{"open":{},"capacity":{},"created":{},"rejected":{},"expired":{},"deleted":{},"advances":{},"poisoned":{},"reclaim_violations":{}}}}}"#,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        cache.len,
-        cache.capacity,
-        cache.hit_rate(),
-        state.requests_total.load(Ordering::Relaxed),
-        state.responses_2xx.load(Ordering::Relaxed),
-        state.responses_4xx.load(Ordering::Relaxed),
-        state.responses_5xx.load(Ordering::Relaxed),
-        state.awake_runs.load(Ordering::Relaxed),
-        state.awake_rounds_total.load(Ordering::Relaxed),
-        state.connections.load(Ordering::SeqCst),
-        state.turnaways.load(Ordering::Relaxed),
-        state.idle_closed.load(Ordering::Relaxed),
-        state.request_timeouts.load(Ordering::Relaxed),
-        sessions.open,
-        sessions.capacity,
-        sessions.created,
-        sessions.rejected,
-        sessions.expired,
-        sessions.deleted,
-        sessions.advances,
-        sessions.poisoned,
-        sessions.reclaim_violations,
-    )
+    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    Obj::new()
+        .field("t", "stats")
+        .field(
+            "cache",
+            Obj::new()
+                .field("hits", cache.hits)
+                .field("misses", cache.misses)
+                .field("evictions", cache.evictions)
+                .field("len", cache.len)
+                .field("capacity", cache.capacity)
+                .field("hit_rate", cache.hit_rate()),
+        )
+        .field(
+            "requests",
+            Obj::new()
+                .field("total", count(&state.requests_total))
+                .field("ok_2xx", count(&state.responses_2xx))
+                .field("client_4xx", count(&state.responses_4xx))
+                .field("server_5xx", count(&state.responses_5xx)),
+        )
+        .field(
+            "awake",
+            Obj::new()
+                .field("runs", count(&state.awake_runs))
+                .field("rounds_total", count(&state.awake_rounds_total)),
+        )
+        .field(
+            "lifecycle",
+            Obj::new()
+                .field("connections_open", state.connections.load(Ordering::SeqCst))
+                .field("turnaways", count(&state.turnaways))
+                .field("idle_closed", count(&state.idle_closed))
+                .field("request_timeouts", count(&state.request_timeouts)),
+        )
+        .field(
+            "sessions",
+            Obj::new()
+                .field("open", sessions.open)
+                .field("capacity", sessions.capacity)
+                .field("created", sessions.created)
+                .field("rejected", sessions.rejected)
+                .field("expired", sessions.expired)
+                .field("deleted", sessions.deleted)
+                .field("advances", sessions.advances)
+                .field("poisoned", sessions.poisoned)
+                .field("reclaim_violations", sessions.reclaim_violations),
+        )
+        .finish()
+}
+
+/// The body of every error response.
+fn error_body(code: &str, message: &str) -> String {
+    Obj::new()
+        .field("t", "error")
+        .field("code", code)
+        .field("message", message)
+        .finish()
 }
 
 fn respond(
@@ -1102,11 +1162,7 @@ fn respond_error(
     code: &str,
     message: &str,
 ) -> io::Result<()> {
-    let body = format!(
-        r#"{{"t":"error","code":"{code}","message":"{}"}}"#,
-        esc(message)
-    );
-    respond(state, writer, status, body.as_bytes())
+    respond(state, writer, status, error_body(code, message).as_bytes())
 }
 
 /// A typed turn-away (429/503/409) carrying `Retry-After` so polite
@@ -1119,17 +1175,13 @@ fn respond_error_retry(
     message: &str,
 ) -> io::Result<()> {
     state.count(status);
-    let body = format!(
-        r#"{{"t":"error","code":"{code}","message":"{}"}}"#,
-        esc(message)
-    );
     let retry_after = state.retry_after_secs.to_string();
     write_response_with(
         writer,
         status,
         "application/json",
         &[("Retry-After", &retry_after)],
-        body.as_bytes(),
+        error_body(code, message).as_bytes(),
     )
 }
 
@@ -1145,21 +1197,4 @@ fn respond_request_error(
         _ => 400,
     };
     respond_error(state, writer, status, e.code(), &e.to_string())
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

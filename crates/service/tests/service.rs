@@ -6,11 +6,53 @@
 use emst_core::{GhsVariant, Instance, MaintainStrategy, Protocol, Sim};
 use emst_radio::JsonlSink;
 use emst_service::json::Json;
-use emst_service::{serve, Client, Drain, ServiceConfig};
+use emst_service::{serve, Drain, Response, ServiceConfig};
 use std::io::{Read, Write};
 use std::time::Duration;
 
 const SEED: u64 = 0xE0E7_2008;
+
+/// The service client, asserting that every body it receives parses.
+struct Client(emst_service::Client);
+
+impl Client {
+    fn connect(addr: &str) -> std::io::Result<Client> {
+        emst_service::Client::connect(addr).map(Client)
+    }
+
+    fn get(&mut self, path: &str) -> std::io::Result<Response> {
+        self.0.get(path).map(parses)
+    }
+
+    fn post(&mut self, path: &str, body: &[u8]) -> std::io::Result<Response> {
+        self.0.post(path, body).map(parses)
+    }
+
+    fn delete(&mut self, path: &str) -> std::io::Result<Response> {
+        self.0.delete(path).map(parses)
+    }
+}
+
+fn parses(resp: Response) -> Response {
+    assert_body_parses(&resp.text());
+    resp
+}
+
+/// Every response body is JSON: one compact document on one line, or an
+/// NDJSON stream whose every line is one.
+fn assert_body_parses(body: &str) {
+    assert!(!body.is_empty(), "empty response body");
+    for line in body.lines() {
+        if let Err(e) = Json::parse(line) {
+            panic!("unparseable line {line:?}: {e}");
+        }
+    }
+}
+
+/// The body of a raw HTTP/1.1 response read off a socket.
+fn raw_body(raw: &str) -> &str {
+    raw.split_once("\r\n\r\n").map_or("", |(_, body)| body)
+}
 
 fn boot(cache_capacity: usize) -> emst_service::ServerHandle {
     serve(ServiceConfig {
@@ -678,6 +720,7 @@ fn overflow_turnaways_carry_retry_after() {
     assert!(raw.starts_with("HTTP/1.1 503 "), "got: {raw:?}");
     assert!(raw.contains("Retry-After: 2\r\n"), "got: {raw:?}");
     assert!(raw.contains(r#""code":"overloaded""#), "got: {raw:?}");
+    assert_body_parses(raw_body(&raw));
     drop(second);
     drop(holder);
     std::thread::sleep(Duration::from_millis(50)); // slot frees
@@ -725,6 +768,7 @@ fn malformed_inputs_on_hardened_paths_are_typed() {
             .unwrap();
         let mut out = String::new();
         let _ = stream.read_to_string(&mut out);
+        assert_body_parses(raw_body(&out));
         out
     };
 
@@ -984,3 +1028,59 @@ fn shutdown_drains_idle_connections_cleanly() {
     drop(a);
     drop(b);
 }
+
+/// Wire bytes are a contract: these bodies were captured from the
+/// server before its responses moved onto the shared JSON encoder, and
+/// every later encoder change must reproduce them byte for byte.
+#[test]
+fn response_bodies_match_pinned_bytes() {
+    let server = boot(4);
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let check = |resp: Response, status: u16, want: &str| {
+        assert_eq!((resp.status, resp.text().as_str()), (status, want));
+    };
+    let run = r#"{"protocol": "ghs_modified", "n": 40, "seed": 7, "radius": 0.35"#;
+    let churn = r#""churn": {"epochs": 2, "events": [{"epoch": 0, "op": "crash", "node": 3},
+                   {"epoch": 1, "op": "join", "x": 0.25, "y": 0.75}]}"#;
+    let post = |client: &mut Client, path: &str, body: &str| client.post(path, body.as_bytes());
+
+    check(client.get("/healthz").unwrap(), 200, HEALTHZ);
+    let bad = r#"{"protocol": "nope", "n": 40}"#;
+    check(
+        post(&mut client, "/run", bad).unwrap(),
+        400,
+        UNKNOWN_PROTOCOL,
+    );
+    let awake = format!(r#"{run}, "awake": true}}"#);
+    check(post(&mut client, "/run", &awake).unwrap(), 200, RESULT);
+    let replay = format!("{run}, {churn}}}");
+    check(post(&mut client, "/run", &replay).unwrap(), 200, MAINTAIN);
+    let session = r#"{"n": 40, "seed": 7, "radius": 0.35}"#;
+    check(
+        post(&mut client, "/session", session).unwrap(),
+        200,
+        SESSION,
+    );
+    let crash = r#"{"events": [{"op": "crash", "node": 5}]}"#;
+    let advance = post(&mut client, "/session/1/advance", crash).unwrap();
+    check(advance, 200, ADVANCE);
+    check(client.get("/session/1/trace?from=0").unwrap(), 200, TRACE);
+    check(client.delete("/session/1").unwrap(), 200, DELETED);
+    check(client.get("/stats").unwrap(), 200, STATS);
+}
+
+const HEALTHZ: &str = r#"{"ok":true,"degraded":false,"connections":{"open":1,"cap":64},"sessions":{"open":0,"cap":16}}"#;
+const UNKNOWN_PROTOCOL: &str = r#"{"t":"error","code":"unknown_protocol","message":"unknown protocol \"nope\" (expected one of ghs_original, ghs_modified, ghs_lowawake, eopt, co_nnt, nnt_xorder, nnt_id, bfs, election_flood, election_tree)"}"#;
+const RESULT: &str = r#"{"t":"result","protocol":"ghs_modified","n":40,"seed":7,"trial":0,"outcome":"complete","cache_hit":false,"faults":{"drops":0,"retries":0,"timeouts":0},"energy":28.371987337513186,"energy_bits":4628679222157190447,"rx_energy_bits":0,"idle_energy_bits":0,"messages":556,"rounds":88,"fragments":1,"edges":39,"awake_rounds":3520,"awake_max":88,"ledger":{"ghs/announce":{"messages":147,"energy_bits":4625761878325246034},"ghs/chroot":{"messages":28,"energy_bits":4599203030106677397},"ghs/connect":{"messages":57,"energy_bits":4607126731135494951},"ghs/hello":{"messages":40,"energy_bits":4617202927970916759},"ghs/initiate":{"messages":142,"energy_bits":4611870232498690747},"ghs/report":{"messages":142,"energy_bits":4611870232498690747}}}"#;
+const MAINTAIN: &str = r#"{"t":"maintain","protocol":"ghs_modified","n":40,"seed":7,"strategy":"incremental","radius":0.35,"cache_hit":true,"bootstrap":{"energy":28.371987337513186,"energy_bits":4628679222157190447,"messages":556,"rounds":88,"conserved":true},"epochs_run":2,"maintenance_energy":0.9868302377942894,"maintenance_energy_bits":4607063796127693015,"maintenance_messages":25,"final_live":40,"final_forest_edges":39,"epochs":[{"t":"epoch","epoch":1,"live":39,"arrivals":0,"departures":1,"energy":0,"energy_bits":0,"messages":0,"rounds":0,"edges_added":0,"edges_removed":1,"fragments":1,"ledger_conserved":true,"forest_valid":true},{"t":"epoch","epoch":2,"live":40,"arrivals":1,"departures":0,"energy":0.9868302377942894,"energy_bits":4607063796127693015,"messages":25,"rounds":4,"edges_added":2,"edges_removed":1,"fragments":1,"ledger_conserved":true,"forest_valid":true}]}"#;
+const SESSION: &str = r#"{"t":"session","id":1,"n":40,"seed":7,"trial":0,"radius":0.35,"strategy":"incremental","cache_hit":true,"bootstrap":{"energy":28.371987337513186,"energy_bits":4628679222157190447,"messages":556,"rounds":88,"conserved":true},"ledger":{"epoch":0,"energy_bits":4628679222157190447,"messages":556,"rounds":88,"conserved":true}}"#;
+const ADVANCE: &str = r#"{"t":"advance","id":1,"epoch":1,"ledger":{"epoch":1,"energy_bits":4628931207870609346,"messages":572,"rounds":98,"conserved":true},"report":{"t":"epoch","epoch":1,"live":39,"arrivals":0,"departures":1,"energy":0.8952330909256242,"energy_bits":4606238762374681173,"messages":16,"rounds":10,"edges_added":1,"edges_removed":2,"fragments":1,"ledger_conserved":true,"forest_valid":true}}"#;
+const TRACE: &str = concat!(
+    r#"{"t":"epoch","epoch":1,"live":39,"arrivals":0,"departures":1,"energy":0.8952330909256242,"energy_bits":4606238762374681173,"messages":16,"rounds":10,"edges_added":1,"edges_removed":2,"fragments":1,"ledger_conserved":true,"forest_valid":true}"#,
+    "\n",
+    r#"{"t":"trace_tail","id":1,"next":1,"epochs_run":1}"#,
+    "\n"
+);
+const DELETED: &str = r#"{"t":"session_deleted","id":1,"ledger":{"epoch":1,"energy_bits":4628931207870609346,"messages":572,"rounds":98,"conserved":true},"conserved_at_reclaim":true}"#;
+const STATS: &str = r#"{"t":"stats","cache":{"hits":2,"misses":1,"evictions":0,"len":1,"capacity":4,"hit_rate":0.6666666666666666},"requests":{"total":8,"ok_2xx":7,"client_4xx":1,"server_5xx":0},"awake":{"runs":1,"rounds_total":3520},"lifecycle":{"connections_open":1,"turnaways":0,"idle_closed":0,"request_timeouts":0},"sessions":{"open":0,"capacity":16,"created":1,"rejected":0,"expired":0,"deleted":1,"advances":1,"poisoned":0,"reclaim_violations":0}}"#;

@@ -54,7 +54,7 @@ fn render_tracked(pts: &[Point], protocol: Protocol, radius: Option<f64>) -> Str
     if let Some(r) = radius {
         sim = sim.radius(r);
     }
-    let outcome = sim.try_run(protocol);
+    let outcome = sim.try_run_checked(protocol).unwrap();
     let RunOutcome::Complete(out) = outcome else {
         panic!("clean tracked run must complete");
     };

@@ -73,7 +73,7 @@ fn render(
     if repair {
         sim = sim.repair(RepairPolicy::default());
     }
-    let outcome = sim.try_run(protocol);
+    let outcome = sim.try_run_checked(protocol).unwrap();
     let (status, fstats) = match &outcome {
         RunOutcome::Complete(_) => ("complete", Default::default()),
         RunOutcome::Repaired { output, .. } => ("repaired", output.stats.faults),

@@ -72,7 +72,7 @@ fn noop_plan_is_bit_identical_to_no_plan() {
 fn clean_runs_classify_as_complete() {
     let pts = instance(200);
     for (label, protocol, radius) in protocols(200) {
-        let outcome = sim(&pts, radius).try_run(protocol);
+        let outcome = sim(&pts, radius).try_run_checked(protocol).unwrap();
         assert!(outcome.is_complete(), "{label}: clean run not Complete");
         assert!(outcome.faults().is_clean(), "{label}");
     }
@@ -85,7 +85,8 @@ fn lossy_runs_finish_gracefully_with_populated_counters() {
     for (label, protocol, radius) in protocols(300) {
         let outcome = sim(&pts, radius)
             .with_faults(plan.clone())
-            .try_run(protocol);
+            .try_run_checked(protocol)
+            .unwrap();
         let faults = outcome.faults();
         assert!(
             faults.drops > 0,
@@ -135,7 +136,8 @@ fn crashed_and_sleeping_nodes_do_not_panic() {
     ] {
         let outcome = sim(&pts, radius)
             .with_faults(plan.clone())
-            .try_run(protocol);
+            .try_run_checked(protocol)
+            .unwrap();
         let out = outcome
             .output()
             .unwrap_or_else(|| panic!("{label}: crash schedule aborted the run"));
@@ -154,7 +156,8 @@ fn metrics_sink_conserves_the_ledger_under_faults() {
         let outcome = sim(&pts, radius)
             .with_faults(plan.clone())
             .sink(&mut m)
-            .try_run(protocol);
+            .try_run_checked(protocol)
+            .unwrap();
         let out = outcome.output().expect("lossy run still finishes");
         assert_eq!(
             m.total_energy().to_bits(),
@@ -175,7 +178,8 @@ fn fault_coins_are_thread_count_independent() {
         let plan = FaultPlan::none().drop_probability(0.1).seed(*t ^ 0xC0);
         let outcome = sim(&pts, Some(paper_phase2_radius(150)))
             .with_faults(plan)
-            .try_run(Protocol::Ghs(GhsVariant::Modified));
+            .try_run_checked(Protocol::Ghs(GhsVariant::Modified))
+            .unwrap();
         let out = outcome.output().expect("lossy run still finishes");
         (out.stats.energy.to_bits(), out.stats.faults)
     };
@@ -220,12 +224,14 @@ fn repair_upgrades_fragmented_lossy_runs() {
             let plan = FaultPlan::none().drop_probability(p).seed(0xF1F0 + seed);
             let bare = sim(&pts, radius)
                 .with_faults(plan.clone())
-                .try_run(protocol);
+                .try_run_checked(protocol)
+                .unwrap();
             let fragmented = bare.output().is_some_and(|o| o.fragments > 1);
             let fixed = sim(&pts, radius)
                 .with_faults(plan)
                 .repair(RepairPolicy::default())
-                .try_run(protocol);
+                .try_run_checked(protocol)
+                .unwrap();
             match &fixed {
                 RunOutcome::Complete(out) | RunOutcome::Repaired { output: out, .. } => {
                     assert_eq!(
@@ -283,7 +289,8 @@ fn repair_charges_the_shared_ledger_and_stage_log() {
             .with_faults(plan)
             .repair(RepairPolicy::default())
             .sink(&mut m)
-            .try_run(Protocol::Ghs(GhsVariant::Modified));
+            .try_run_checked(Protocol::Ghs(GhsVariant::Modified))
+            .unwrap();
         let out = outcome.output().expect("lossy run still finishes");
         assert_eq!(m.total_energy().to_bits(), out.stats.energy.to_bits());
         assert_eq!(m.total_messages(), out.stats.messages);
@@ -346,7 +353,8 @@ fn repair_excludes_crashed_nodes_and_spans_the_rest() {
         let outcome = sim(&pts, Some(r))
             .with_faults(plan)
             .repair(RepairPolicy::default())
-            .try_run(Protocol::Ghs(GhsVariant::Modified));
+            .try_run_checked(Protocol::Ghs(GhsVariant::Modified))
+            .unwrap();
         if let RunOutcome::Repaired { output, repair } = &outcome {
             exercised = true;
             assert_eq!(repair.crashed, 2, "both crash entries fired before repair");
@@ -372,7 +380,8 @@ fn same_plan_reproduces_bitwise_and_different_seeds_differ() {
         let plan = FaultPlan::none().drop_probability(0.1).seed(seed);
         let outcome = sim(&pts, Some(paper_phase2_radius(200)))
             .with_faults(plan)
-            .try_run(Protocol::Eopt(Default::default()));
+            .try_run_checked(Protocol::Eopt(Default::default()))
+            .unwrap();
         let out = outcome.output().expect("lossy run still finishes");
         (out.stats.energy.to_bits(), out.stats.faults)
     };

@@ -68,7 +68,7 @@ fn render(pts: &[Point], cfg: &RenderCfg<'_>) -> (String, RunOutcome) {
     if cfg.repair {
         sim = sim.repair(RepairPolicy::default());
     }
-    let outcome = sim.try_run(cfg.protocol);
+    let outcome = sim.try_run_checked(cfg.protocol).unwrap();
     let (status, fstats) = match &outcome {
         RunOutcome::Complete(_) => ("complete", Default::default()),
         RunOutcome::Repaired { output, .. } => ("repaired", output.stats.faults),
