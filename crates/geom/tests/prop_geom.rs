@@ -11,6 +11,53 @@ fn point_cloud(max: usize) -> impl Strategy<Value = Vec<Point>> {
     proptest::collection::vec(unit_point(), 1..max)
 }
 
+/// Cell sizes whose multiples land on cell edges: exact reciprocals
+/// `1/side` and decimal sizes that binary floats only approximate.
+fn edge_cell() -> impl Strategy<Value = f64> {
+    (0usize..16).prop_map(|k| match k {
+        0..=11 => 1.0 / (k + 1) as f64,
+        12 => 0.1,
+        13 => 0.05,
+        14 => 0.3,
+        _ => 0.07,
+    })
+}
+
+/// A cell size and a cloud whose coordinates all lie on its cell edges
+/// `k·cell`, including 0.0 and 1.0, with coincident points.
+fn edge_cloud() -> impl Strategy<Value = (f64, Vec<Point>)> {
+    edge_cell().prop_flat_map(|cell| {
+        let last = (1.0 / cell) as usize;
+        // Index `last + 1` stands for the border coordinate 1.0.
+        let coord = move |k: usize| if k > last { 1.0 } else { k as f64 * cell };
+        let pt =
+            (0..=last + 1, 0..=last + 1).prop_map(move |(a, b)| Point::new(coord(a), coord(b)));
+        (Just(cell), proptest::collection::vec(pt, 1..60))
+    })
+}
+
+/// The hits of a disk query in the order the grid yields them, distances
+/// as bit patterns.
+fn disk_hits(grid: &BucketGrid<'_>, center: &Point, r: f64) -> Vec<(usize, u64)> {
+    let mut got = Vec::new();
+    grid.for_each_in_disk(center, r, |j, d| got.push((j, d.to_bits())));
+    got
+}
+
+/// Reference for [`disk_hits`]: `visit_order()` filtered by the grid's hit
+/// rule `dist_sq ≤ r²`, with the distance as `sqrt(dist_sq)`.
+fn filtered_visit_order(grid: &BucketGrid<'_>, center: &Point, r: f64) -> Vec<(usize, u64)> {
+    let pts = grid.points();
+    grid.visit_order()
+        .iter()
+        .map(|&i| i as usize)
+        .filter_map(|i| {
+            let d_sq = center.dist_sq(&pts[i]);
+            (d_sq <= r * r).then(|| (i, d_sq.sqrt().to_bits()))
+        })
+        .collect()
+}
+
 proptest! {
     /// Metric axioms for the Euclidean distance.
     #[test]
@@ -58,20 +105,57 @@ proptest! {
         prop_assert!(m.energy_for_distance(lo) <= m.energy_for_distance(hi) + 1e-15);
     }
 
-    /// Grid disk queries agree with brute force on random clouds and radii.
+    /// A disk query yields exactly the brute-force scan of `visit_order()`
+    /// (a permutation of all points) filtered to the disk: every hit, in
+    /// order, with bit-identical distances. The cell size is drawn apart
+    /// from the radius, so radii run from far below one cell to many
+    /// cells, and centres need not be points of the cloud.
     #[test]
-    fn grid_disk_matches_brute_force(pts in point_cloud(120), r in 0.0f64..0.7,
+    fn grid_disk_matches_brute_force(pts in point_cloud(150), cell in 0.01f64..0.5,
+                                     r in 0.0f64..0.8, c in unit_point(),
                                      qraw in 0usize..1000) {
-        let q = qraw % pts.len();
-        let grid = BucketGrid::for_radius(&pts, r.max(1e-3));
-        let mut got: Vec<usize> = Vec::new();
-        grid.for_each_in_disk(&pts[q], r, |j, _| got.push(j));
-        got.sort_unstable();
-        let mut brute: Vec<usize> = (0..pts.len())
-            .filter(|&j| pts[q].dist(&pts[j]) <= r)
-            .collect();
-        brute.sort_unstable();
-        prop_assert_eq!(got, brute);
+        let grid = BucketGrid::new(&pts, cell);
+        let mut all = grid.visit_order().to_vec();
+        all.sort_unstable();
+        prop_assert_eq!(all, (0..pts.len() as u32).collect::<Vec<_>>());
+        for center in [c, pts[qraw % pts.len()]] {
+            prop_assert_eq!(disk_hits(&grid, &center, r), filtered_visit_order(&grid, &center, r));
+        }
+    }
+
+    /// Adversarial alignment: every coordinate on a cell edge (0.0 and 1.0
+    /// included), radii exact multiples of the cell size (so hits sit
+    /// exactly on the disk's rim and on the window's edges), and radii
+    /// of one, two and three cells.
+    #[test]
+    fn disk_order_holds_on_cell_edges((cell, pts) in edge_cloud()) {
+        let grid = BucketGrid::new(&pts, cell);
+        for center in &pts {
+            for m in [0.0, 0.5, 1.0, 2.0, 3.0] {
+                let r = m * cell;
+                prop_assert_eq!(disk_hits(&grid, center, r), filtered_visit_order(&grid, center, r));
+            }
+        }
+    }
+
+    /// Radii below the smallest cell `for_radius` will build (`1/(4⌈√n⌉)`),
+    /// on clouds with coincident and nearly coincident points, so that
+    /// such tiny disks still have hits.
+    #[test]
+    fn disk_order_holds_below_the_minimum_cell(pts in point_cloud(60), jitter in 0.0f64..1e-6) {
+        let mut cloud = pts.clone();
+        for p in pts.iter().step_by(2) {
+            cloud.push(*p);
+            cloud.push(Point::new((p.x + jitter).min(1.0), p.y));
+        }
+        let min_cell = 1.0 / (cloud.len() as f64).sqrt().ceil() / 4.0;
+        for r in [0.0, 1e-300, 1e-12, jitter, min_cell / 2.0] {
+            let grid = BucketGrid::for_radius(&cloud, r);
+            prop_assert!(grid.cell_size() > r);
+            for center in &cloud {
+                prop_assert_eq!(disk_hits(&grid, center, r), filtered_visit_order(&grid, center, r));
+            }
+        }
     }
 
     /// Edge enumeration yields each qualifying unordered pair exactly once.
@@ -181,5 +265,37 @@ proptest! {
         if m > 1 {
             prop_assert!(nnt_probe_radius(m - 1, n) < l + 1e-9);
         }
+    }
+}
+
+/// Float rounding at the disk's rim: each point is a hit (`dist_sq ≤ r²`)
+/// although `c ± r` rounds into the neighbouring cell, so a window taken
+/// from the unpadded bounding box would skip the hit's cell.
+#[test]
+fn rim_hits_survive_a_rounded_window_edge() {
+    let cases = [
+        // `0.23 − 0.13` rounds to 0.1, in cell 1; the hit lies in cell 0.
+        (
+            0.1,
+            Point::new(0.23, 0.5),
+            0.13,
+            Point::new(0.09999999999999999, 0.5),
+        ),
+        // `c.x + r` rounds below 1/3, in cell 0; the hit lies in cell 1.
+        (
+            1.0 / 3.0,
+            Point::new(0.08263856768151892, 0.5),
+            0.25069476565181437,
+            Point::new(1.0 / 3.0, 0.5),
+        ),
+    ];
+    for (cell, center, r, rim) in cases {
+        let pts = [center, rim];
+        let grid = BucketGrid::new(&pts, cell);
+        assert!(center.dist_sq(&rim) <= r * r);
+        assert_ne!(grid.cell_of(&rim), grid.cell_of(&center));
+        let hits = disk_hits(&grid, &center, r);
+        assert_eq!(hits.len(), 2, "cell {cell}: rim point dropped");
+        assert_eq!(hits, filtered_visit_order(&grid, &center, r));
     }
 }
