@@ -145,7 +145,7 @@ pub(crate) fn drive(env: &mut crate::ExecEnv<'_>, cfg: &EoptConfig) -> EoptRun {
     }
 
     EoptRun {
-        tree: eng.tree(),
+        tree: eng.into_tree(),
         detail: EoptDetail {
             phases_step1,
             phases_step2,

@@ -392,7 +392,13 @@ impl GhsEngine {
             reflip_queue: VecDeque::new(),
             moe_state: Vec::new(),
             tree_adj: vec![Vec::new(); n],
-            tree_edges: Vec::new(),
+            // A forest on n nodes has at most n - 1 edges. Reserved before
+            // discovery builds the topology and moved out at the end (see
+            // `into_tree`): a tree allocated late in a run can land above
+            // the run's large buffers on the heap, depending on the
+            // allocator's free lists, and would then keep their memory
+            // mapped, so the page faults later runs pay would vary.
+            tree_edges: Vec::with_capacity(n.saturating_sub(1)),
             passive: Default::default(),
             inactive: Default::default(),
             phases: 0,
@@ -439,6 +445,11 @@ impl GhsEngine {
     /// The accumulated spanning forest.
     pub fn tree(&self) -> SpanningTree {
         SpanningTree::new(self.n, self.tree_edges.clone())
+    }
+
+    /// The accumulated spanning forest, moved out of the finished engine.
+    pub(crate) fn into_tree(self) -> SpanningTree {
+        SpanningTree::new(self.n, self.tree_edges)
     }
 
     /// Live fragment ids in ascending order — the deterministic iteration
@@ -2028,8 +2039,8 @@ pub(crate) fn drive(env: &mut crate::ExecEnv<'_>, radius: f64, variant: GhsVaria
     });
     env.stage(kinds.scope, "phases", |net| eng.run_phases(net, kinds));
     GhsRun {
-        tree: eng.tree(),
         phases: eng.phases(),
+        tree: eng.into_tree(),
     }
 }
 
