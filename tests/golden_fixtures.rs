@@ -34,6 +34,7 @@ fn instance(seed: u64) -> Vec<Point> {
 fn cases() -> Vec<(&'static str, Protocol, Option<f64>)> {
     let r = paper_phase2_radius(N);
     vec![
+        ("ghs_original", Protocol::Ghs(GhsVariant::Original), Some(r)),
         ("ghs_modified", Protocol::Ghs(GhsVariant::Modified), Some(r)),
         ("eopt", Protocol::Eopt(Default::default()), None),
         ("co_nnt", Protocol::Nnt(RankScheme::Diagonal), None),
@@ -132,6 +133,43 @@ fn render(
     s
 }
 
+/// An 8×8 lattice at spacing 1/8 (exact in binary, so neighbours tie at
+/// equal distances) plus duplicate points at distance 0.0: every MOE
+/// choice here is decided by the `(dist, id)` tie-break.
+fn lattice_with_duplicates() -> Vec<Point> {
+    let mut pts: Vec<Point> = (0..64)
+        .map(|k| Point::new((k % 8) as f64 / 8.0, (k / 8) as f64 / 8.0))
+        .collect();
+    pts.extend([pts[0], pts[9], pts[9], pts[36], pts[63]]);
+    pts
+}
+
+/// Compares `got` with the named fixture (or writes it under
+/// `GOLDEN_BLESS`), pointing at the first diverging line on mismatch.
+fn check_fixture(name: &str, got: &str, bless: bool) {
+    let path = fixture_path(name);
+    if bless {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, got).unwrap();
+        return;
+    }
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing fixture {name}: {e}"));
+    if got != want {
+        // Point at the first diverging line instead of dumping two
+        // multi-kilobyte blobs.
+        let (mut lineno, mut detail) = (0usize, String::from("trailing difference"));
+        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            if g != w {
+                lineno = i + 1;
+                detail = format!("got:  {g}\nwant: {w}");
+                break;
+            }
+        }
+        panic!("golden fixture {name} diverged at line {lineno}:\n{detail}");
+    }
+}
+
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -148,33 +186,30 @@ fn stage_runtime_reproduces_pre_refactor_runs_bit_for_bit() {
             for (mode, faults) in [("clean", None), ("faulted", Some(fault_plan()))] {
                 let name = format!("{proto_name}_{seed:x}_{mode}");
                 let got = render(&pts, protocol, radius, faults, false);
-                let path = fixture_path(&name);
-                if bless {
-                    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-                    std::fs::write(&path, &got).unwrap();
-                    continue;
-                }
-                let want = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("missing fixture {name}: {e}"));
-                if got != want {
-                    // Point at the first diverging line instead of dumping
-                    // two multi-kilobyte blobs.
-                    let (mut lineno, mut detail) = (0usize, String::from("trailing difference"));
-                    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-                        if g != w {
-                            lineno = i + 1;
-                            detail = format!("got:  {g}\nwant: {w}");
-                            break;
-                        }
-                    }
-                    panic!("golden fixture {name} diverged at line {lineno}:\n{detail}");
-                }
+                check_fixture(&name, &got, bless);
                 checked += 1;
             }
         }
     }
     if !bless {
-        assert_eq!(checked, 16, "all fixture cases must be compared");
+        assert_eq!(checked, 20, "all fixture cases must be compared");
+    }
+}
+
+/// Both GHS variants on the tie-heavy lattice instance: pins the MOE
+/// tie-break and the test/accept/reject order where many row entries
+/// share a distance.
+#[test]
+fn ghs_runs_under_distance_ties_match_pinned_fixtures() {
+    let bless = std::env::var_os("GOLDEN_BLESS").is_some();
+    let pts = lattice_with_duplicates();
+    for (name, variant) in [
+        ("ghs_original_ties_clean", GhsVariant::Original),
+        ("ghs_modified_ties_clean", GhsVariant::Modified),
+    ] {
+        let got = render(&pts, Protocol::Ghs(variant), Some(0.3), None, false);
+        assert!(got.starts_with("STATUS complete\n"), "{name}: {got:.200}");
+        check_fixture(name, &got, bless);
     }
 }
 
@@ -199,5 +234,5 @@ fn repair_enabled_clean_runs_match_pinned_fixtures() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 8, "all clean fixture cases must be compared");
+    assert_eq!(checked, 10, "all clean fixture cases must be compared");
 }
