@@ -3,7 +3,7 @@
 //!
 //! Times one full `Sim` run per protocol at n ∈ {500, 2000, 5000}
 //! (`--quick`: n = 500 only; `--large`: additionally 20 000 and 100 000
-//! for the scalable protocols), repeating `--trials` times and reporting
+//! for the GHS variants and EOPT), repeating `--trials` times and reporting
 //! the mean and best wall time plus throughput (nodes simulated per
 //! second). Results are printed as a table and written to
 //! `BENCH_core.json` so perf changes land in version control alongside
@@ -68,9 +68,9 @@ const GUARD_MAX_RATIO: f64 = 1.25;
 const FLAT_BASELINE_N: usize = 2000;
 const FLAT_MIN_RATIO: f64 = 0.3;
 
-/// The `--large` extension sizes, run only for the protocols that scale
-/// (modified GHS and EOPT; the original variant's test/accept/reject
-/// traffic and the reactive fleets are quadratic-ish time sinks there).
+/// The `--large` extension sizes, run for both GHS variants and EOPT
+/// (Co-NNT and BFS stay in the default sweep: their reactive fleets are
+/// quadratic-ish time sinks there).
 const LARGE_SIZES: [usize; 2] = [20_000, 100_000];
 
 struct Row {
@@ -87,11 +87,11 @@ struct Row {
 
 fn protocols(n: usize, large_only: bool) -> Vec<(&'static str, Protocol)> {
     let mut v = vec![
+        ("ghs_original", Protocol::Ghs(GhsVariant::Original)),
         ("ghs_modified", Protocol::Ghs(GhsVariant::Modified)),
         ("eopt", Protocol::Eopt(EoptConfig::default())),
     ];
     if !large_only {
-        v.insert(0, ("ghs_original", Protocol::Ghs(GhsVariant::Original)));
         v.push(("co_nnt", Protocol::Nnt(RankScheme::Diagonal)));
         v.push(("bfs", Protocol::Bfs { root: n / 2 }));
     }

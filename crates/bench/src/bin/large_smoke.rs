@@ -1,11 +1,13 @@
-//! Large-n scale smoke: one modified-GHS run at n = 50 000, time-bounded.
+//! Large-n scale smoke: GHS runs at n = 50 000, time-bounded and checked
+//! for exactness.
 //!
 //! CI runs this to catch superlinear regressions that the wall-time guard
-//! (pinned at n = 5000) cannot see. Each size runs twice through a shared
-//! [`emst_core::Instance`]: the first rep pays topology construction, the second
-//! must not — both reps must finish under [`TIME_BOUND_S`] seconds and
-//! produce a spanning forest, and per-size throughput is printed so a
-//! human can eyeball the curve.
+//! (pinned at n = 5000) cannot see. Each size runs modified GHS twice
+//! through a shared [`emst_core::Instance`]: the first rep pays topology
+//! construction, the second must not. Original GHS then runs once on the
+//! warm instance. Every rep must finish under [`TIME_BOUND_S`] seconds,
+//! and every tree must equal the exact Euclidean MST edge for edge; per-rep
+//! throughput is printed so a human can eyeball the curve.
 //!
 //! Flags: `--quick` shrinks the run to n = 10 000; `--large` extends it
 //! to n = 100 000 (same per-rep bound).
@@ -13,6 +15,7 @@
 use emst_bench::{sim_instance, Options};
 use emst_core::{GhsVariant, Protocol, Sim};
 use emst_geom::paper_phase2_radius;
+use emst_graph::euclidean_mst;
 use std::time::Instant;
 
 /// Wall-time budget per rep (generous: the run takes well under half of
@@ -28,16 +31,21 @@ fn main() {
     for n in sizes {
         let inst = sim_instance(opts.seed, n, 0);
         let r = paper_phase2_radius(n);
+        let mst = euclidean_mst(inst.points());
         let mut warm_msgs = None;
-        for rep in ["cold", "warm"] {
+        for (name, variant, rep) in [
+            ("ghs_modified", GhsVariant::Modified, "cold"),
+            ("ghs_modified", GhsVariant::Modified, "warm"),
+            ("ghs_original", GhsVariant::Original, "warm"),
+        ] {
             let start = Instant::now();
             let out = Sim::from_instance(&inst)
                 .radius(r)
-                .run(Protocol::Ghs(GhsVariant::Modified));
+                .run(Protocol::Ghs(variant));
             let secs = start.elapsed().as_secs_f64();
             let phases = out.detail.as_ghs().expect("GHS run").phases;
             println!(
-                "ghs_modified n={n} ({rep}): {:.3} s, {} fragments, {} phases, {} msgs, \
+                "{name} n={n} ({rep}): {:.3} s, {} fragments, {} phases, {} msgs, \
                  {:.0} nodes/s",
                 secs,
                 out.fragments,
@@ -45,12 +53,18 @@ fn main() {
                 out.stats.messages,
                 n as f64 / secs
             );
-            assert!(out.tree.is_valid(), "invalid forest");
-            assert_eq!(
-                *warm_msgs.get_or_insert(out.stats.messages),
-                out.stats.messages,
-                "instance reuse changed the run"
+            assert!(out.tree.is_valid(), "{name}: invalid forest");
+            assert!(
+                out.tree.same_edges(&mst),
+                "{name} n={n}: tree differs from the exact Euclidean MST"
             );
+            if variant == GhsVariant::Modified {
+                assert_eq!(
+                    *warm_msgs.get_or_insert(out.stats.messages),
+                    out.stats.messages,
+                    "instance reuse changed the run"
+                );
+            }
             assert!(
                 secs < TIME_BOUND_S,
                 "large-n smoke exceeded its time bound: {secs:.1} s > {TIME_BOUND_S} s"
