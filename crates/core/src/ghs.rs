@@ -752,23 +752,52 @@ impl GhsEngine {
         }
     }
 
-    /// Rebuilds the live-filtered neighbour rows with **zero radio
-    /// traffic**: the incremental maintenance loop calls this instead of
-    /// [`GhsEngine::discover`] at the start of an epoch, because
-    /// surviving nodes already hold their neighbour tables (and §V-A
-    /// caches) from the previous epoch, and a departed neighbour is
-    /// detected by lease expiry — silence costs no transmissions. The
+    /// Restores the live-filtered neighbour rows with **zero radio
+    /// traffic** from rows the caller kept across epochs: the incremental
+    /// maintenance loop calls this instead of [`GhsEngine::discover`] at
+    /// the start of an epoch, because surviving nodes already hold their
+    /// neighbour tables (and §V-A caches) from the previous epoch, and a
+    /// departed neighbour is detected by lease expiry — silence costs no
+    /// transmissions.
+    ///
+    /// `offsets`/`ids` are a CSR over a prefix of the id universe: row
+    /// `u` lists the ids of `u`'s neighbours within `radius` in
+    /// `(dist, id)` order, at 4 B per directed edge; each distance is
+    /// recomputed with `Point::dist`, bit for bit the grid's value. Dead
+    /// ids (and ids past the last row) get empty rows and dead entries are
+    /// skipped, so the restore builds no topology and sorts nothing. The
     /// engine must have been constructed against a membership-carrying
     /// network (`RadioNet::set_members` before [`GhsEngine::new`]).
-    pub fn restore_neighbor_caches(&mut self, net: &mut RadioNet<'_>, radius: f64) {
+    pub fn restore_rows(&mut self, net: &RadioNet<'_>, radius: f64, offsets: &[u32], ids: &[u32]) {
         assert!(radius > 0.0, "restore radius must be positive");
         let members = self
             .members
-            .clone()
-            .expect("restore_neighbor_caches requires a membership-carrying engine");
+            .take()
+            .expect("restore_rows requires a membership-carrying engine");
         self.radius = radius;
-        net.cache_topology(radius);
-        self.build_restricted_rows(net, &members);
+        let rows = offsets.len().saturating_sub(1);
+        self.nbr_off.clear();
+        self.nbr_off.push(0);
+        self.nbr_data.clear();
+        self.nbr_data.reserve(ids.len());
+        let points = net.points();
+        for u in 0..self.n {
+            if u < rows && members.is_live(u) {
+                let p = points[u];
+                for &v in &ids[offsets[u] as usize..offsets[u + 1] as usize] {
+                    if members.is_live(v as usize) {
+                        self.nbr_data.push(Nbr {
+                            id: v,
+                            dist: p.dist(&points[v as usize]),
+                            frag: self.frag[v as usize],
+                            rejected: false,
+                        });
+                    }
+                }
+            }
+            self.nbr_off.push(self.nbr_data.len() as u32);
+        }
+        self.members = Some(members);
         self.inactive.clear();
     }
 

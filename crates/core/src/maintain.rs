@@ -325,6 +325,115 @@ fn sort_dedup(edges: &mut Vec<Edge>) {
     edges.dedup_by(|a, b| a.u == b.u && a.v == b.v);
 }
 
+/// The `(dist, id)` row order: `total_cmp` on the distance, then the id.
+fn row_order(a: (f64, u32), b: (f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// The live neighbour rows of an incremental session, one flat CSR over
+/// the id universe at 4 B per live directed edge: row `u` holds the ids
+/// of every live neighbour within the radius of live id `u` in
+/// `(dist, id)` order, and dead ids have empty rows. Distances are not
+/// stored: `Point::dist` recomputes the grid's value bit for bit. Seeded
+/// from the bootstrap's sorted topology and patched at the end of every
+/// epoch, so no epoch builds a topology or sorts more than its arrivals'
+/// rows.
+#[derive(Debug, Clone, Default)]
+struct LiveRows {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl LiveRows {
+    /// Row `u` (empty past the last row).
+    fn row(&self, u: usize) -> &[u32] {
+        match self.offsets.get(u..u + 2) {
+            Some(&[start, end]) => &self.ids[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// Patches the rows to the epoch's end state in one merge pass into
+    /// fresh buffers (the old ones are freed on return). `departures` and
+    /// `arrivals` are the epoch's sorted id lists, `members` the live set
+    /// after it, and `arrival_rows[i]` the live neighbours of
+    /// `arrivals[i]` as `(id, dist)` pairs in any order. Entries of
+    /// departed and arriving ids (movers, wakers) are dropped, each
+    /// arrival's row is sorted, and `(d, a)` lands at its sorted position
+    /// in the row of every live neighbour that is not itself an arrival.
+    fn patch(
+        &mut self,
+        points: &[Point],
+        members: &Membership,
+        departures: &[usize],
+        arrivals: &[usize],
+        arrival_rows: &[Vec<(usize, f64)>],
+    ) {
+        // Rows are symmetric, so every holder of a stale entry lies in
+        // the stale id's own old row: only those rows are filtered, the
+        // rest are copied whole.
+        let mut stale = vec![false; points.len()];
+        let mut touched = vec![false; points.len()];
+        for &s in departures.iter().chain(arrivals) {
+            stale[s] = true;
+            for &v in self.row(s) {
+                touched[v as usize] = true;
+            }
+        }
+        // Each arrival's row, sorted, and the `(v, d, a)` entries it
+        // inserts into its non-arriving neighbours' rows.
+        let mut sorted_rows: Vec<Vec<(f64, u32)>> = Vec::with_capacity(arrivals.len());
+        let mut inserts: Vec<(u32, f64, u32)> = Vec::new();
+        for (&a, nbrs) in arrivals.iter().zip(arrival_rows) {
+            let mut row: Vec<(f64, u32)> = nbrs.iter().map(|&(v, d)| (d, v as u32)).collect();
+            row.sort_unstable_by(|&x, &y| row_order(x, y));
+            inserts.extend(
+                row.iter()
+                    .filter(|&&(_, v)| !stale[v as usize])
+                    .map(|&(d, v)| (v, d, a as u32)),
+            );
+            sorted_rows.push(row);
+        }
+        inserts.sort_unstable_by(|x, y| x.0.cmp(&y.0).then(row_order((x.1, x.2), (y.1, y.2))));
+
+        let cap = self.ids.len() + inserts.len() + sorted_rows.iter().map(Vec::len).sum::<usize>();
+        let mut offsets: Vec<u32> = Vec::with_capacity(points.len() + 1);
+        let mut ids: Vec<u32> = Vec::with_capacity(cap);
+        offsets.push(0);
+        let mut sorted_rows = sorted_rows.iter();
+        let mut inserts = inserts.as_slice();
+        for (u, p) in points.iter().enumerate() {
+            let mine = inserts.iter().take_while(|x| x.0 as usize == u).count();
+            let (mine, rest) = inserts.split_at(mine);
+            inserts = rest;
+            if stale[u] {
+                // A departure's row empties; an arrival's is rebuilt.
+                if members.is_live(u) {
+                    let row = sorted_rows.next().expect("one row per arrival");
+                    ids.extend(row.iter().map(|&(_, v)| v));
+                }
+            } else if mine.is_empty() && !touched[u] {
+                ids.extend_from_slice(self.row(u));
+            } else {
+                // Merge the kept entries with `u`'s inserts, both in
+                // `(dist, id)` order.
+                let mut mine = mine.iter().map(|&(_, d, a)| (d, a)).peekable();
+                for &v in self.row(u).iter().filter(|&&v| !stale[v as usize]) {
+                    let d = p.dist(&points[v as usize]);
+                    while let Some((_, a)) = mine.next_if(|&new| row_order(new, (d, v)).is_lt()) {
+                        ids.push(a);
+                    }
+                    ids.push(v);
+                }
+                ids.extend(mine.map(|(_, a)| a));
+            }
+            offsets.push(u32::try_from(ids.len()).expect("live rows exceed the u32 edge space"));
+        }
+        debug_assert!(inserts.is_empty(), "every insert lands in a row");
+        *self = LiveRows { offsets, ids };
+    }
+}
+
 /// A cumulative accounting snapshot of a maintenance session: bootstrap
 /// plus every advanced epoch, with energy carried as exact bits so two
 /// snapshots compare bitwise, never approximately.
@@ -354,6 +463,13 @@ pub struct SessionLedger {
 /// — so a session advanced epoch-by-epoch is *bitwise identical* to a
 /// replayed timeline by construction, not by parallel maintenance of
 /// two code paths.
+///
+/// Under [`MaintainStrategy::Incremental`] the session also owns the
+/// live neighbour rows of its current live set, at 4 B per live directed
+/// edge (ids only; distances are recomputed bit for bit). They are
+/// seeded by the bootstrap and patched at the end of every epoch, so an
+/// epoch builds no topology and sorts only its arrivals' rows, and the
+/// memory follows the live edge count rather than the id universe.
 #[derive(Debug, Clone)]
 pub struct MaintainSession {
     strategy: MaintainStrategy,
@@ -361,6 +477,8 @@ pub struct MaintainSession {
     points: Vec<Point>,
     members: Membership,
     forest: Vec<Edge>,
+    /// Live neighbour rows (`Incremental` only; empty under `Recompute`).
+    rows: LiveRows,
     kinds: &'static GhsKinds,
     bootstrap_energy: f64,
     bootstrap_messages: u64,
@@ -385,18 +503,32 @@ impl MaintainSession {
         let points: Vec<Point> = initial_points.to_vec();
         let members = Membership::all_live(points.len());
         let kinds = GhsKinds::for_scope("maintain");
-        let (forest, boot_stats, boot_conserved) = run_step(&points, radius, &members, |env| {
-            crate::ghs::drive(env, radius, GhsVariant::Modified)
-                .tree
-                .edges()
-                .to_vec()
-        });
+        let ((forest, topo), boot_stats, boot_conserved) =
+            run_step(&points, radius, &members, |env| {
+                let run = crate::ghs::drive(env, radius, GhsVariant::Modified);
+                let topo = env.net().topology_handle();
+                (run.tree.edges().to_vec(), topo)
+            });
+        // The bootstrap built the topology and its sorted view over an
+        // all-live set: those sorted rows are the session's live rows.
+        // The run's network is gone, so the handle is the last one and
+        // the buffers move over without a copy.
+        let rows = match strategy {
+            MaintainStrategy::Incremental => {
+                let topo = topo.expect("GHS discovery caches the topology");
+                let topo = std::sync::Arc::into_inner(topo).expect("the run's network is gone");
+                let (offsets, ids) = topo.into_sorted_ids();
+                LiveRows { offsets, ids }
+            }
+            MaintainStrategy::Recompute => LiveRows::default(),
+        };
         MaintainSession {
             strategy,
             radius,
             points,
             members,
             forest,
+            rows,
             kinds,
             bootstrap_energy: boot_stats.energy,
             bootstrap_messages: boot_stats.messages,
@@ -480,6 +612,7 @@ impl MaintainSession {
             points,
             members,
             forest,
+            rows,
             kinds,
             ..
         } = self;
@@ -563,7 +696,7 @@ impl MaintainSession {
                             }
                         }
                         env.stage(kinds.scope, "restore", |net| {
-                            eng.restore_neighbor_caches(net, radius)
+                            eng.restore_rows(net, radius, &rows.offsets, &rows.ids)
                         });
                         env.stage(kinds.scope, "reconnect", |net| eng.run_phases(net, kinds));
                         eng.tree().edges().to_vec()
@@ -581,30 +714,40 @@ impl MaintainSession {
                 // Kruskal over `forest ∪ E_A` — charging a connect
                 // exchange per adopted arrival edge and one teardown
                 // message per evicted tree edge.
-                if !arrivals.is_empty() {
+                let arrival_rows = if arrivals.is_empty() {
+                    Vec::new()
+                } else {
                     for &a in &arrivals {
                         members.admit(a);
                     }
-                    let m = members.clone();
+                    let m: &Membership = members;
                     let old_forest = std::mem::take(forest);
                     let arrivals_ref = &arrivals;
                     let old_ref = &old_forest;
-                    let ((adopted, evicted), stats, ok) =
-                        run_step(points, radius, members, |env| {
+                    let ((adopted, evicted, nbrs), stats, ok) =
+                        run_step(points, radius, m, |env| {
                             env.stage(kinds.scope, "arrivals", |net| {
-                                net.cache_topology(radius);
-                                let topo = net.topology_handle().expect("cached above");
                                 for &a in arrivals_ref {
                                     net.local_broadcast_silent(a, radius, kinds.hello);
                                 }
+                                // Each arrival's live neighbours by a grid
+                                // query: the visit order of a topology row.
+                                let mut nbrs: Vec<Vec<(usize, f64)>> =
+                                    Vec::with_capacity(arrivals_ref.len());
                                 for &a in arrivals_ref {
-                                    for (v, _) in topo.neighbors_live(a, &m) {
+                                    let mut row = Vec::new();
+                                    net.neighbors_into(a, radius, &mut row);
+                                    row.retain(|&(v, _)| m.is_live(v));
+                                    nbrs.push(row);
+                                }
+                                for (&a, row) in arrivals_ref.iter().zip(&nbrs) {
+                                    for &(v, _) in row {
                                         net.unicast(v, a, kinds.hello);
                                     }
                                 }
                                 let mut cand = old_ref.clone();
-                                for &a in arrivals_ref {
-                                    for (v, d) in topo.neighbors_live(a, &m) {
+                                for (&a, row) in arrivals_ref.iter().zip(&nbrs) {
+                                    for &(v, d) in row {
                                         cand.push(Edge::new(a, v, d));
                                     }
                                 }
@@ -634,7 +777,7 @@ impl MaintainSession {
                                 }
                                 // hello, reply, connect, teardown slots.
                                 net.advance_rounds(4);
-                                (adopted, evicted)
+                                (adopted, evicted, nbrs)
                             })
                         });
                     edges_removed += evicted;
@@ -644,6 +787,10 @@ impl MaintainSession {
                     messages += stats.messages;
                     rounds += stats.rounds;
                     conserved &= ok;
+                    nbrs
+                };
+                if !departures.is_empty() || !arrivals.is_empty() {
+                    rows.patch(points, members, &departures, &arrivals, &arrival_rows);
                 }
             }
             MaintainStrategy::Recompute => {
@@ -758,12 +905,14 @@ pub fn maintain(
 mod tests {
     use super::*;
     use crate::{Protocol, Sim};
-    use emst_geom::{paper_phase2_radius, trial_rng, uniform_points};
+    use emst_geom::{paper_phase2_radius, trial_rng, uniform_points, BucketGrid};
     use emst_graph::{kruskal_forest, Graph};
+    use emst_radio::Topology;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
-    /// MSF of the live unit-disk subgraph, computed by Kruskal — the
-    /// ground truth every maintained forest must match edge-for-edge.
-    fn live_kruskal(points: &[Point], radius: f64, members: &Membership) -> SpanningTree {
+    /// Edges of the live unit-disk subgraph, by brute force.
+    fn live_edges(points: &[Point], radius: f64, members: &Membership) -> Vec<Edge> {
         let n = points.len();
         let mut edges = Vec::new();
         for u in 0..n {
@@ -780,8 +929,102 @@ mod tests {
                 }
             }
         }
-        let g = Graph::from_edges(n, edges);
+        edges
+    }
+
+    /// MSF of the live unit-disk subgraph, computed by Kruskal — the
+    /// ground truth every maintained forest must match edge-for-edge.
+    fn live_kruskal(points: &[Point], radius: f64, members: &Membership) -> SpanningTree {
+        let n = points.len();
+        let g = Graph::from_edges(n, live_edges(points, radius, members));
         SpanningTree::new(n, kruskal_forest(&g))
+    }
+
+    /// A uniform point, or a point of the 8×8 lattice at spacing 1/8
+    /// (exact in binary, so lattice neighbours tie in distance and
+    /// repeated draws stack duplicates at distance 0.0).
+    fn random_point(rng: &mut StdRng, lattice: bool) -> Point {
+        if lattice {
+            let k = rng.gen_range(0..64u32);
+            Point::new((k % 8) as f64 / 8.0, (k / 8) as f64 / 8.0)
+        } else {
+            Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0))
+        }
+    }
+
+    /// One epoch of mixed churn against the session's current state:
+    /// joins (some moved again in the same epoch), crashes, sleeps,
+    /// wakes, sleep-and-wake of one id in one epoch, and moves. The live
+    /// count drifts back towards `target`.
+    fn random_epoch(
+        rng: &mut StdRng,
+        s: &MaintainSession,
+        target: usize,
+        lattice: bool,
+    ) -> Vec<ChurnEvent> {
+        let live: Vec<usize> = s.members().live_ids().iter().map(|&u| u as usize).collect();
+        let dead: Vec<usize> = (0..s.universe())
+            .filter(|&u| !s.members().is_live(u))
+            .collect();
+        let (grow, shrink) = (live.len() < 2 * target, live.len() > target / 2);
+        let mut next_id = s.universe();
+        let mut events = Vec::new();
+        for _ in 0..rng.gen_range(1..=4u32) {
+            match rng.gen_range(0..7u32) {
+                0 | 1 if grow => {
+                    events.push(ChurnEvent::Join(random_point(rng, lattice)));
+                    if rng.gen_bool(0.5) {
+                        events.push(ChurnEvent::Move(next_id, random_point(rng, lattice)));
+                    }
+                    next_id += 1;
+                }
+                2 if shrink => events.push(ChurnEvent::Crash(live[rng.gen_range(0..live.len())])),
+                3 if shrink => events.push(ChurnEvent::Sleep(live[rng.gen_range(0..live.len())])),
+                4 if grow && !dead.is_empty() => {
+                    events.push(ChurnEvent::Wake(dead[rng.gen_range(0..dead.len())]))
+                }
+                5 => {
+                    // Sleep and wake of one id in one epoch, either way
+                    // round.
+                    if rng.gen_bool(0.5) || dead.is_empty() {
+                        let u = live[rng.gen_range(0..live.len())];
+                        events.extend([ChurnEvent::Sleep(u), ChurnEvent::Wake(u)]);
+                    } else {
+                        let u = dead[rng.gen_range(0..dead.len())];
+                        events.extend([ChurnEvent::Wake(u), ChurnEvent::Sleep(u)]);
+                    }
+                }
+                6 => events.push(ChurnEvent::Move(
+                    live[rng.gen_range(0..live.len())],
+                    random_point(rng, lattice),
+                )),
+                _ => {}
+            }
+        }
+        events
+    }
+
+    /// The session's live rows equal those of a fresh topology over the
+    /// current points, filtered to live ids and sorted by `(dist, id)`.
+    fn assert_rows_fresh(s: &MaintainSession) {
+        let (points, members) = (s.points(), s.members());
+        let grid = BucketGrid::for_radius(points, s.radius());
+        let topo = Topology::build(&grid, s.radius());
+        assert_eq!(s.rows.offsets.len(), points.len() + 1);
+        for u in 0..points.len() {
+            let mut want: Vec<(f64, u32)> = Vec::new();
+            if members.is_live(u) {
+                want.extend(topo.neighbors_live(u, members).map(|(v, d)| (d, v as u32)));
+                want.sort_by(|&a, &b| row_order(a, b));
+            }
+            // The rows keep ids only: the distance the engine recomputes
+            // must be the grid's, bit for bit.
+            for &(d, v) in &want {
+                assert_eq!(points[u].dist(&points[v as usize]).to_bits(), d.to_bits());
+            }
+            let want: Vec<u32> = want.iter().map(|&(_, v)| v).collect();
+            assert_eq!(s.rows.row(u), want, "epoch {}: row {u}", members.epoch());
+        }
     }
 
     #[test]
@@ -852,6 +1095,47 @@ mod tests {
             inc.epochs[0].messages,
             rec.epochs[0].messages
         );
+    }
+
+    #[test]
+    fn live_rows_match_a_fresh_topology_after_every_epoch() {
+        for t in 0..12u64 {
+            let mut rng = trial_rng(0xC0FF20, t);
+            let lattice = t % 2 == 0;
+            let n = 40;
+            let pts: Vec<Point> = (0..n).map(|_| random_point(&mut rng, lattice)).collect();
+            let r = if lattice { 0.3 } else { paper_phase2_radius(n) };
+            let mut s = MaintainSession::bootstrap(&pts, r, MaintainStrategy::Incremental);
+            assert_rows_fresh(&s);
+            for _ in 0..20 {
+                let events = random_epoch(&mut rng, &s, n, lattice);
+                s.advance(&events);
+                assert_rows_fresh(&s);
+            }
+        }
+    }
+
+    #[test]
+    fn soak_keeps_the_exact_forest_and_live_bounded_rows() {
+        let n = 60;
+        let mut rng = trial_rng(0xC0FF21, 0);
+        let pts = uniform_points(n, &mut rng);
+        let r = paper_phase2_radius(n);
+        let mut s = MaintainSession::bootstrap(&pts, r, MaintainStrategy::Incremental);
+        for _ in 0..500 {
+            let events = random_epoch(&mut rng, &s, n, false);
+            let report = s.advance(&events);
+            let epoch = report.epoch;
+            assert!(report.ledger_conserved, "epoch {epoch} leaked energy");
+            assert!(report.forest_valid, "epoch {epoch} broke the forest");
+            let truth = live_kruskal(s.points(), r, s.members());
+            assert!(s.tree().same_edges(&truth), "epoch {epoch}: not the MSF");
+            let live_edges = live_edges(s.points(), r, s.members()).len();
+            assert_eq!(s.rows.ids.len(), 2 * live_edges, "epoch {epoch}: row total");
+        }
+        let ledger = s.ledger();
+        assert_eq!(ledger.epoch, 500);
+        assert!(ledger.conserved);
     }
 
     #[test]

@@ -141,6 +141,17 @@ impl Topology {
         })
     }
 
+    /// Consumes the topology and hands back the ids of its
+    /// `(dist, id)`-sorted rows as `(offsets, ids)`, building the sorted
+    /// view first if it is not yet built. Both buffers move out without
+    /// a copy; the distances and the grid-order rows are dropped (a
+    /// distance is `Point::dist` of its two endpoints, bit for bit).
+    pub fn into_sorted_ids(mut self) -> (Vec<u32>, Vec<u32>) {
+        self.sorted();
+        let SortedRows { ids, .. } = self.sorted.take().expect("built above");
+        (self.offsets, ids)
+    }
+
     /// Neighbour ids of `u` in ascending `(dist, id)` order.
     #[inline]
     pub fn sorted_ids(&self, u: usize) -> &[u32] {
@@ -308,6 +319,19 @@ mod tests {
         }
         assert!(zero_ties >= 8, "duplicates must meet at distance 0.0");
         assert!(dist_ties > 64, "lattice rows must tie");
+        // The by-value accessor hands out the same rows, also when the
+        // sorted view was never built.
+        let fresh = Topology::build(&grid, 0.3);
+        for t in [topo.clone(), fresh] {
+            let (off, ids) = t.into_sorted_ids();
+            assert_eq!(off.len(), topo.n() + 1);
+            for u in 0..topo.n() {
+                assert_eq!(
+                    &ids[off[u] as usize..off[u + 1] as usize],
+                    topo.sorted_ids(u)
+                );
+            }
+        }
     }
 
     #[test]

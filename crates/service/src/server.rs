@@ -89,7 +89,9 @@ pub struct ServiceConfig {
     pub idle_timeout: Duration,
     /// Seconds advertised in `Retry-After` on 503/429 turn-aways.
     pub retry_after_secs: u64,
-    /// Standing-session table capacity; creation past it is a 429.
+    /// Standing-session table capacity; creation past it is a 429. Each
+    /// parked incremental session keeps its live neighbour rows (4 B per
+    /// live directed edge), so this also bounds the table's memory.
     pub max_sessions: usize,
     /// Idle lease on a standing session; expired leases are reclaimed by
     /// the reaper (conservation-pinned, see [`crate::session`]).

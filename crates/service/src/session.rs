@@ -6,7 +6,10 @@
 //! the service promises:
 //!
 //! * **bounded** — at most `capacity` sessions; creation past the cap is
-//!   a typed rejection (the server maps it to 429 + `Retry-After`);
+//!   a typed rejection (the server maps it to 429 + `Retry-After`). Each
+//!   parked incremental session holds its live neighbour rows (4 B per
+//!   live directed edge, besides its points and forest), so the table's
+//!   memory is bounded by `capacity` × one session's rows;
 //! * **leased** — every touch (create, advance, trace read) renews an
 //!   idle lease; the reaper thread reclaims sessions idle past the TTL;
 //! * **conservation-pinned** — reclaim (expiry *and* explicit DELETE)
