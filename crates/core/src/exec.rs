@@ -217,12 +217,6 @@ impl<'a> ExecEnv<'a> {
         }
     }
 
-    /// Whether awake-round tracking is enabled.
-    #[inline]
-    pub fn awake_tracked(&self) -> bool {
-        self.net().awake_schedule().is_some()
-    }
-
     /// Registers a pre-built shared topology (the instance-reuse fast
     /// path): stages that cache the adjacency at its radius reuse the
     /// build instead of repeating it. See

@@ -59,6 +59,7 @@
 //! agreement with Kruskal edge-for-edge. The two-phase EOPT algorithm
 //! (`crate::eopt`) drives this same engine at two radii.
 
+use emst_geom::Point;
 use emst_graph::{Edge, SpanningTree};
 use emst_radio::{FaultKind, FaultPlan, Membership, RadioNet};
 use std::collections::VecDeque;
@@ -444,11 +445,6 @@ impl GhsEngine {
         self.phases
     }
 
-    /// Fragment id of node `u`.
-    pub fn frag_of(&self, u: usize) -> usize {
-        self.frag[u] as usize
-    }
-
     /// The accumulated spanning forest.
     pub fn tree(&self) -> SpanningTree {
         SpanningTree::new(self.n, self.tree_edges.clone())
@@ -457,14 +453,6 @@ impl GhsEngine {
     /// The accumulated spanning forest, moved out of the finished engine.
     pub(crate) fn into_tree(self) -> SpanningTree {
         SpanningTree::new(self.n, self.tree_edges)
-    }
-
-    /// Live fragment ids in ascending order — the deterministic iteration
-    /// order every stage uses (so floating-point energy summation is
-    /// reproducible). Pair with [`GhsEngine::members_of`] to walk the
-    /// arena without copying it.
-    pub fn live_fragments(&self) -> &[u32] {
-        &self.live
     }
 
     /// Iterates the members of fragment `frag` in ascending node order.
@@ -483,15 +471,6 @@ impl GhsEngine {
         .map(|u| u as usize)
     }
 
-    /// Size of fragment `frag` (0 if not a live fragment id).
-    pub fn fragment_size(&self, frag: usize) -> usize {
-        if self.is_live.get(frag).copied().unwrap_or(false) {
-            self.frag_size[frag] as usize
-        } else {
-            0
-        }
-    }
-
     /// Current number of fragments.
     pub fn fragment_count(&self) -> usize {
         self.live.len()
@@ -505,13 +484,6 @@ impl GhsEngine {
             .map(|&f| self.frag_size[f as usize] as usize)
             .collect();
         v.sort_unstable_by(|a, b| b.cmp(a));
-        v
-    }
-
-    /// Ids of fragments currently marked passive.
-    pub fn passive_fragments(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.passive.iter().map(|&f| f as usize).collect();
-        v.sort_unstable();
         v
     }
 
@@ -632,11 +604,7 @@ impl GhsEngine {
         // per-node cursors. The modified variant reads live fragment ids
         // there (announces keep the §V-A caches *exact* here — every
         // row-holder is in announce range — so the cache IS the live id);
-        // the original variant keeps its reject state in the cursors. The
-        // sorted view is forced now so phase timings don't absorb the
-        // one-time build; with an instance-cached topology it is already
-        // built.
-        let _ = net.topology_at(radius).expect("cached above").sorted();
+        // the original variant keeps its reject state in the cursors.
         self.nbr_data.clear();
         self.nbr_off.clear();
         self.nbr_off.resize(n + 1, 0);
@@ -719,36 +687,32 @@ impl GhsEngine {
     }
 
     /// Assembles the private `(dist, id)`-sorted neighbour rows over the
-    /// live set only. Pure bookkeeping: no charges, no rounds.
+    /// live set only: the topology's sorted rows with dead entries
+    /// dropped, each distance recomputed with `Point::dist`. Pure
+    /// bookkeeping: no charges, no rounds.
     fn build_restricted_rows(&mut self, net: &RadioNet<'_>, members: &Membership) {
-        let n = self.n;
         let topo = net.topology_at(self.radius).expect("caller cached");
+        let points = net.points();
         self.nbr_off.clear();
         self.nbr_off.push(0);
-        let mut total = 0u32;
-        for u in 0..n {
-            if members.is_live(u) {
-                total += topo.degree_live(u, members) as u32;
-            }
-            self.nbr_off.push(total);
-        }
         self.nbr_data.clear();
-        self.nbr_data.reserve(total as usize);
-        for u in 0..n {
-            if !members.is_live(u) {
-                continue;
+        // The live rows are a subset of the topology's.
+        self.nbr_data.reserve(topo.directed_edges());
+        for u in 0..self.n {
+            if members.is_live(u) {
+                let p = points[u];
+                for &v in topo.ids(u) {
+                    if members.is_live(v as usize) {
+                        self.nbr_data.push(Nbr {
+                            id: v,
+                            dist: p.dist(&points[v as usize]),
+                            frag: self.frag[v as usize],
+                            rejected: false,
+                        });
+                    }
+                }
             }
-            let start = self.nbr_data.len();
-            for (v, d) in topo.neighbors_live(u, members) {
-                self.nbr_data.push(Nbr {
-                    id: v as u32,
-                    dist: d,
-                    frag: self.frag[v],
-                    rejected: false,
-                });
-            }
-            self.nbr_data[start..]
-                .sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            self.nbr_off.push(self.nbr_data.len() as u32);
         }
     }
 
@@ -989,15 +953,23 @@ impl GhsEngine {
     /// from the topology's shared sorted rows. The cursor skips the prefix
     /// that already belongs to `u`'s fragment — sound because fragments
     /// only merge: once `v` shares `u`'s fragment they share it forever.
-    fn local_moe_clean(&mut self, topo: &emst_radio::Topology, u: usize) -> Option<Cand> {
-        Self::moe_scan(topo, &self.frag, &mut self.moe_state[u], u)
+    fn local_moe_clean(
+        &mut self,
+        topo: &emst_radio::Topology,
+        points: &[Point],
+        u: usize,
+    ) -> Option<Cand> {
+        Self::moe_scan(topo, points, &self.frag, &mut self.moe_state[u], u)
     }
 
     /// The cursor scan behind [`GhsEngine::local_moe_clean`], shared with
     /// the sharded stage's workers (no `&self` so a worker can borrow its
-    /// slot block mutably while `frag` stays shared).
+    /// slot block mutably while `frag` stays shared). The candidate's
+    /// weight is recomputed with `Point::dist`, the row's distance bit for
+    /// bit.
     fn moe_scan(
         topo: &emst_radio::Topology,
+        points: &[Point],
         frag: &[u32],
         slot: &mut MoeSlot,
         u: usize,
@@ -1015,7 +987,7 @@ impl GhsEngine {
                 v: slot.v,
             });
         }
-        let ids = topo.sorted_ids(u);
+        let ids = topo.ids(u);
         let mut k = slot.cursor as usize;
         while k < ids.len() && frag[ids[k] as usize] == my {
             k += 1;
@@ -1023,7 +995,7 @@ impl GhsEngine {
         slot.cursor = k as u32;
         if k < ids.len() {
             slot.v = ids[k];
-            slot.w = topo.sorted_dists(u)[k];
+            slot.w = points[u].dist(&points[ids[k] as usize]);
             Some(Cand {
                 w: slot.w,
                 u: u as u32,
@@ -1137,11 +1109,11 @@ impl GhsEngine {
             return (None, 0);
         }
         let my = self.frag[u];
-        let ids = topo.sorted_ids(u);
-        let dists = topo.sorted_dists(u);
+        let ids = topo.ids(u);
+        let points = net.points();
         let mut exchanges = 0u64;
-        for k in slot.cursor as usize..ids.len() {
-            let (v, d) = (ids[k], dists[k]);
+        for (k, &v) in ids.iter().enumerate().skip(slot.cursor as usize) {
+            let d = points[u].dist(&points[v as usize]);
             if self.moe_state[v as usize].passed(d, u as u32) {
                 continue;
             }
@@ -1193,7 +1165,7 @@ impl GhsEngine {
     #[allow(clippy::needless_range_loop)] // `p` is the position value itself
     fn moe_sharded(
         &mut self,
-        topo: Option<&emst_radio::Topology>,
+        clean: Option<(&emst_radio::Topology, &[Point])>,
         active_nodes: &[u32],
         bounds: &[(u32, u32, u32)],
         stalled: &[bool],
@@ -1241,11 +1213,11 @@ impl GhsEngine {
                                     continue;
                                 }
                                 let my = frag[u];
-                                let c = match topo {
-                                    Some(topo) => {
+                                let c = match clean {
+                                    Some((topo, points)) => {
                                         // local_moe_clean against this
                                         // shard's slot block.
-                                        Self::moe_scan(topo, frag, &mut cursor[u - lo], u)
+                                        Self::moe_scan(topo, points, frag, &mut cursor[u - lo], u)
                                     }
                                     None => {
                                         // local_moe_modified: first foreign
@@ -1401,7 +1373,7 @@ impl GhsEngine {
         };
         if shard_count > 1 {
             self.moe_sharded(
-                clean_topo.as_deref(),
+                clean_topo.as_deref().map(|t| (t, net.points())),
                 &active_nodes,
                 &bounds,
                 &stalled,
@@ -1418,7 +1390,9 @@ impl GhsEngine {
                         (Some(topo), GhsVariant::Original) => {
                             self.local_moe_original_clean(net, topo, u as usize, kinds)
                         }
-                        (Some(topo), _) => (self.local_moe_clean(topo, u as usize), 0),
+                        (Some(topo), _) => {
+                            (self.local_moe_clean(topo, net.points(), u as usize), 0)
+                        }
                         (None, GhsVariant::Original) => {
                             self.local_moe_original(net, u as usize, kinds)
                         }
@@ -2142,7 +2116,7 @@ pub(crate) fn drive(env: &mut crate::ExecEnv<'_>, radius: f64, variant: GhsVaria
 mod tests {
     use super::*;
     use crate::{Protocol, RunOutput, Sim};
-    use emst_geom::{paper_phase2_radius, trial_rng, uniform_points, Point};
+    use emst_geom::{paper_phase2_radius, trial_rng, uniform_points};
     use emst_graph::{kruskal_forest, Graph};
 
     fn run(points: &[Point], radius: f64, variant: GhsVariant) -> RunOutput {
@@ -2208,22 +2182,22 @@ mod tests {
         eng.discover(&mut net, r, kinds);
         let topo = net.topology_handle().expect("cached by discover");
         for u in 0..pts.len() {
-            let mut row: Vec<(f64, u32)> = topo.neighbors(u).map(|(v, d)| (d, v as u32)).collect();
-            row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let ids: Vec<u32> = row.iter().map(|&(_, v)| v).collect();
-            assert_eq!(topo.sorted_ids(u), ids.as_slice(), "row {u}");
+            let mut row = net.grid().neighbors_within(u, r);
+            row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let ids: Vec<u32> = row.iter().map(|&(v, _)| v as u32).collect();
+            assert_eq!(topo.ids(u), ids.as_slice(), "row {u}");
         }
         // Merge a few fragments, then check the cursor scan against a
         // cursor-free reference on every node.
         eng.run_phases(&mut net, kinds);
         for u in 0..pts.len() {
-            let reference = topo
-                .sorted_ids(u)
-                .iter()
-                .zip(topo.sorted_dists(u))
-                .find(|(&v, _)| eng.frag[v as usize] != eng.frag[u])
-                .map(|(&v, &d)| (v, d));
-            let got = eng.local_moe_clean(&topo, u).map(|c| (c.v, c.w));
+            let mut row = net.grid().neighbors_within(u, r);
+            row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let reference = row
+                .into_iter()
+                .find(|&(v, _)| eng.frag[v] != eng.frag[u])
+                .map(|(v, d)| (v as u32, d));
+            let got = eng.local_moe_clean(&topo, &pts, u).map(|c| (c.v, c.w));
             assert_eq!(got, reference, "node {u}");
         }
     }
@@ -2246,7 +2220,7 @@ mod tests {
             let merged = eng.phase(&mut net, kinds);
             for u in 0..pts.len() {
                 let slot = eng.moe_state[u];
-                let ids = topo.sorted_ids(u);
+                let ids = topo.ids(u);
                 for &v in &ids[..slot.cursor as usize] {
                     assert_eq!(
                         eng.frag[v as usize], eng.frag[u],

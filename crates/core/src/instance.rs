@@ -8,11 +8,11 @@
 //! curve. An [`Instance`] owns the points and memoises the topology
 //! builds behind shared handles, so
 //! [`Sim::from_instance`](crate::Sim::from_instance) runs start with the
-//! adjacency (and its lazily-built sorted view) already warm.
+//! sorted adjacency already warm.
 //!
 //! **Determinism.** An installed topology is byte-for-byte the build the
-//! run would have produced itself: same grid cell size (the run's
-//! operating radius), same visit order, same row bits. Ledgers, traces
+//! run would have produced itself: topology rows are `(dist, id)`-sorted,
+//! so they depend only on the points and the row radius. Ledgers, traces
 //! and stage marks are therefore bit-identical between
 //! `Sim::new(points)` and `Sim::from_instance(&inst)` runs — the
 //! instance only moves the build out of the timed run and shares it.
@@ -56,12 +56,12 @@ impl CacheStats {
 }
 
 /// The bounded, most-recently-used-first store behind [`Instance`]'s
-/// topology memoisation. Entries are keyed by `(grid radius, row radius)`
-/// bits and kept in recency order: a hit moves its entry to the front, an
-/// insert beyond capacity evicts the back (the least recently used key).
+/// topology memoisation. Entries are keyed by row-radius bits and kept in
+/// recency order: a hit moves its entry to the front, an insert beyond
+/// capacity evicts the back (the least recently used key).
 #[derive(Default)]
 struct TopoCache {
-    entries: Vec<(u64, u64, Arc<Topology>)>,
+    entries: Vec<(u64, Arc<Topology>)>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -143,43 +143,37 @@ impl Instance {
             .clear();
     }
 
-    /// Shared topology at `radius`, built on first request (grid cell
-    /// size = `radius`, matching a run whose operating radius is
-    /// `radius`).
+    /// Shared topology at `radius`, built on first request over a grid
+    /// sized for `radius`.
     pub fn topology(&self, radius: f64) -> Arc<Topology> {
         self.topology_with_grid(radius, radius)
     }
 
-    /// Shared topology with rows at `radius` over a bucket grid sized for
-    /// `grid_radius` — the exact build a run operating at `grid_radius`
-    /// performs when it caches the adjacency at `radius`. Rows are in
-    /// grid visit order, so the grid cell size is part of the cache key:
-    /// EOPT's step-1 rows (radius `r1` on an `r2`-sized grid) differ in
-    /// *order* from a standalone `r1` build, and order is
-    /// determinism-bearing.
+    /// Shared topology with rows at `radius`, built on first request over
+    /// a bucket grid sized for `grid_radius`. The rows do not depend on
+    /// the grid, so the cache is keyed by `radius` alone and a hit may be
+    /// a build over another grid; `grid_radius` only picks the grid a
+    /// miss scans (EOPT's step-1 rows come off its step-2 grid, as in a
+    /// cold run).
     ///
     /// The build happens under the cache lock, so concurrent first
     /// requests for one key perform exactly one build and everyone gets
     /// the same [`Arc`].
     pub fn topology_with_grid(&self, grid_radius: f64, radius: f64) -> Arc<Topology> {
-        let key = (grid_radius.to_bits(), radius.to_bits());
+        let key = radius.to_bits();
         let mut cache = self.topos.lock().expect("instance cache poisoned");
-        if let Some(at) = cache
-            .entries
-            .iter()
-            .position(|(g, r, _)| (*g, *r) == (key.0, key.1))
-        {
+        if let Some(at) = cache.entries.iter().position(|(r, _)| *r == key) {
             cache.hits += 1;
             // Refresh recency: the hit entry moves to the front.
             let entry = cache.entries.remove(at);
-            let t = entry.2.clone();
+            let t = entry.1.clone();
             cache.entries.insert(0, entry);
             return t;
         }
         cache.misses += 1;
         let grid = BucketGrid::for_radius(&self.points, grid_radius);
         let t = Arc::new(Topology::build(&grid, radius));
-        cache.entries.insert(0, (key.0, key.1, t.clone()));
+        cache.entries.insert(0, (key, t.clone()));
         if cache.entries.len() > TOPOLOGY_CACHE_CAPACITY {
             cache.entries.pop();
             cache.evictions += 1;
@@ -324,6 +318,8 @@ mod tests {
         let c = inst.topology_with_grid(0.3, 0.2);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(c.radius(), 0.2);
+        // The grid only picks what a miss scans: the key is the row radius.
+        assert!(Arc::ptr_eq(&c, &inst.topology(0.2)));
     }
 
     #[test]

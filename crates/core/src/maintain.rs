@@ -509,15 +509,15 @@ impl MaintainSession {
                 let topo = env.net().topology_handle();
                 (run.tree.edges().to_vec(), topo)
             });
-        // The bootstrap built the topology and its sorted view over an
-        // all-live set: those sorted rows are the session's live rows.
-        // The run's network is gone, so the handle is the last one and
-        // the buffers move over without a copy.
+        // The bootstrap built the topology over an all-live set: its
+        // `(dist, id)`-sorted rows are the session's live rows. The run's
+        // network is gone, so the handle is the last one and the buffers
+        // move over without a copy.
         let rows = match strategy {
             MaintainStrategy::Incremental => {
                 let topo = topo.expect("GHS discovery caches the topology");
                 let topo = std::sync::Arc::into_inner(topo).expect("the run's network is gone");
-                let (offsets, ids) = topo.into_sorted_ids();
+                let (offsets, ids) = topo.into_rows();
                 LiveRows { offsets, ids }
             }
             MaintainStrategy::Recompute => LiveRows::default(),
@@ -731,7 +731,8 @@ impl MaintainSession {
                                     net.local_broadcast_silent(a, radius, kinds.hello);
                                 }
                                 // Each arrival's live neighbours by a grid
-                                // query: the visit order of a topology row.
+                                // query, in the visit order its hello
+                                // replies are charged in.
                                 let mut nbrs: Vec<Vec<(usize, f64)>> =
                                     Vec::with_capacity(arrivals_ref.len());
                                 for &a in arrivals_ref {
@@ -1004,8 +1005,9 @@ mod tests {
         events
     }
 
-    /// The session's live rows equal those of a fresh topology over the
-    /// current points, filtered to live ids and sorted by `(dist, id)`.
+    /// The session's live rows equal the grid queries over the current
+    /// points, filtered to live ids and sorted by `(dist, id)` — and so
+    /// the rows of a fresh topology, filtered to live ids.
     fn assert_rows_fresh(s: &MaintainSession) {
         let (points, members) = (s.points(), s.members());
         let grid = BucketGrid::for_radius(points, s.radius());
@@ -1014,7 +1016,12 @@ mod tests {
         for u in 0..points.len() {
             let mut want: Vec<(f64, u32)> = Vec::new();
             if members.is_live(u) {
-                want.extend(topo.neighbors_live(u, members).map(|(v, d)| (d, v as u32)));
+                want.extend(
+                    grid.neighbors_within(u, s.radius())
+                        .into_iter()
+                        .filter(|&(v, _)| members.is_live(v))
+                        .map(|(v, d)| (d, v as u32)),
+                );
                 want.sort_by(|&a, &b| row_order(a, b));
             }
             // The rows keep ids only: the distance the engine recomputes
@@ -1024,6 +1031,10 @@ mod tests {
             }
             let want: Vec<u32> = want.iter().map(|&(_, v)| v).collect();
             assert_eq!(s.rows.row(u), want, "epoch {}: row {u}", members.epoch());
+            if members.is_live(u) {
+                let fresh = topo.ids(u).iter().filter(|&&v| members.is_live(v as usize));
+                assert!(fresh.copied().eq(want), "row {u} of a fresh topology");
+            }
         }
     }
 

@@ -766,10 +766,8 @@ impl<'a> Sim<'a> {
             env.track_awake();
         }
         if let Some(inst) = instance {
-            // Prewarm every radius the run will cache. The network's grid
-            // is sized for `max_radius`, and topology rows are in grid
-            // visit order, so builds at a smaller radius (EOPT step 1)
-            // must come off the same-sized grid to stay bit-identical.
+            // Prewarm every radius the run will cache (EOPT's step 1 runs
+            // at a smaller radius, read off the run's `max_radius` grid).
             if let Protocol::Eopt(cfg) = &protocol {
                 env.install_topology(inst.topology_with_grid(max_radius, cfg.radius1(n.max(2))));
             }

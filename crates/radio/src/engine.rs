@@ -4,8 +4,8 @@
 //! rounds; in each round every node reads the messages delivered to it
 //! (those sent in the previous round), updates its local state, and emits at
 //! most a bounded number of transmissions, each charged to the energy
-//! ledger at send time. Neighbour discovery and Co-NNT run on this engine
-//! as genuine message-passing state machines; the GHS family uses
+//! ledger at send time. Co-NNT, the BFS flood and leader election run on
+//! this engine as genuine message-passing state machines; the GHS family uses
 //! stage-orchestrated simulation (see `emst-core::ghs`) under the standard
 //! synchroniser abstraction.
 

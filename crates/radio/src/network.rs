@@ -338,14 +338,6 @@ impl<'a> RadioNet<'a> {
             .sleep(u, from, to);
     }
 
-    /// Wakes node `u` at `round`, truncating its pending sleep window
-    /// (no-op without a schedule).
-    pub fn wake_node(&mut self, u: usize, round: u64) {
-        if let Some(aw) = self.awake.as_mut() {
-            aw.wake(u, round);
-        }
-    }
-
     /// Whether node `u` is awake at the current round (true for every
     /// node when no schedule is installed).
     #[inline]
@@ -435,11 +427,6 @@ impl<'a> RadioNet<'a> {
         self.sink = Some(sink);
     }
 
-    /// Detaches the current sink, if any.
-    pub fn clear_sink(&mut self) {
-        self.sink = None;
-    }
-
     /// Whether a trace sink is attached (events are being emitted).
     #[inline]
     pub fn traced(&self) -> bool {
@@ -510,13 +497,17 @@ impl<'a> RadioNet<'a> {
     }
 
     /// Builds (or reuses) the cached CSR adjacency at `radius`. Fixed-radius
-    /// protocols call this once up front; every subsequent neighbour query
-    /// or broadcast at a bitwise-equal radius is then a slice lookup
+    /// protocols call this once up front; every subsequent degree query or
+    /// collision-free broadcast at a matching radius is then a slice lookup
     /// instead of a grid scan. A second call with the same radius is free.
     ///
-    /// The cached rows are in grid visit order — identical content and
-    /// order to a live [`BucketGrid`] query — so switching a protocol onto
-    /// the cache cannot change its energy ledger or trace.
+    /// The cached rows hold the same neighbours as a live [`BucketGrid`]
+    /// query, in `(dist, id)` order rather than grid visit order. Only
+    /// readers for which receiver order is unobservable use them: degrees,
+    /// and broadcasts whose every inbox gets one delivery and whose
+    /// reception charge is a count. [`RadioNet::neighbors_into`] always
+    /// answers in grid visit order. Switching a protocol onto the cache
+    /// therefore cannot change its energy ledger or trace.
     pub fn cache_topology(&mut self, radius: f64) {
         if self
             .topo
@@ -582,17 +573,14 @@ impl<'a> RadioNet<'a> {
         out
     }
 
-    /// Fills `out` with the neighbours of `u` within `radius`, reusing the
-    /// buffer's capacity. Served from the cached topology when it matches,
-    /// otherwise from the grid; both produce the same list in the same
-    /// order.
+    /// Fills `out` with the neighbours of `u` within `radius` in grid visit
+    /// order, reusing the buffer's capacity. Faulted and contended
+    /// deliveries replay this order, so it is always a grid query; a
+    /// radius that matches the cached topology is snapped to the cache's,
+    /// so the list holds exactly the cached row's neighbours.
     pub fn neighbors_into(&self, u: usize, radius: f64, out: &mut Vec<(usize, f64)>) {
-        out.clear();
-        if let Some(t) = self.topology_at(radius) {
-            t.extend_row_into(u, out);
-        } else {
-            self.grid.neighbors_within_into(u, radius, out);
-        }
+        let radius = self.topology_at(radius).map_or(radius, |t| t.radius());
+        self.grid.neighbors_within_into(u, radius, out);
     }
 
     /// Degree of `u` at `radius`.
@@ -708,7 +696,9 @@ impl<'a> RadioNet<'a> {
     /// [`RadioNet::local_broadcast`] into a caller-owned scratch buffer:
     /// identical charges, receivers, and trace event, but no per-call
     /// allocation once the buffer has warmed up. The receiver list is
-    /// served from the cached topology when one matches `radius`.
+    /// served from the cached topology when one matches `radius` — then in
+    /// `(dist, id)` order, each distance recomputed with `Point::dist`
+    /// (the grid's value bit for bit) — and from a grid query otherwise.
     pub fn local_broadcast_into(
         &mut self,
         u: usize,
@@ -722,7 +712,12 @@ impl<'a> RadioNet<'a> {
         self.ledger.charge(kind, e);
         receivers.clear();
         if let Some(t) = self.topology_at(radius) {
-            t.extend_row_into(u, receivers);
+            let p = self.points[u];
+            receivers.extend(
+                t.ids(u)
+                    .iter()
+                    .map(|&v| (v as usize, p.dist(&self.points[v as usize]))),
+            );
         } else {
             self.grid.neighbors_within_into(u, radius, receivers);
         }
@@ -1023,34 +1018,57 @@ mod tests {
     #[test]
     fn cached_topology_broadcasts_are_bit_identical() {
         // The same broadcast sequence, once against the grid and once
-        // against the cached topology, must produce identical receiver
-        // lists (content and order) and identical ledgers.
+        // against the cached topology, must reach the same receivers with
+        // the same distance bits (the cached row lists them in `(dist, id)`
+        // order, the grid in visit order; no caller can observe which) and
+        // leave identical degrees, ledgers and traces.
+        use crate::trace::JsonlSink;
         let pts = uniform_points(200, &mut trial_rng(73, 0));
         let r = 0.09;
-        let mut plain = RadioNet::new(&pts, r);
-        let mut cached = RadioNet::new(&pts, r);
-        cached.cache_topology(r);
-        assert!(cached.topology_at(r).is_some());
-        assert!(cached.topology_at(r * 0.5).is_none());
-        let mut buf = Vec::new();
-        for u in 0..200 {
-            let a = plain.local_broadcast(u, r, "b");
-            cached.local_broadcast_into(u, r, "b", &mut buf);
-            assert_eq!(a.len(), buf.len(), "node {u}");
-            for (x, y) in a.iter().zip(buf.iter()) {
-                assert_eq!(x.0, y.0);
-                assert_eq!(x.1.to_bits(), y.1.to_bits());
+        let (mut plain_sink, mut cached_sink) =
+            (JsonlSink::new(Vec::new()), JsonlSink::new(Vec::new()));
+        let (plain_ledger, cached_ledger) = {
+            let config = EnergyConfig::extended(PathLoss::paper(), 0.001, 0.0);
+            let mut plain = RadioNet::with_config(&pts, r, config);
+            let mut cached = RadioNet::with_config(&pts, r, config);
+            plain.set_sink(&mut plain_sink);
+            cached.set_sink(&mut cached_sink);
+            cached.cache_topology(r);
+            assert!(cached.topology_at(r).is_some());
+            assert!(cached.topology_at(r * 0.5).is_none());
+            let by_id = |v: &[(usize, f64)]| {
+                let mut v: Vec<(usize, u64)> = v.iter().map(|&(id, d)| (id, d.to_bits())).collect();
+                v.sort_unstable();
+                v
+            };
+            let mut buf = Vec::new();
+            for u in 0..200 {
+                let a = plain.local_broadcast(u, r, "b");
+                cached.local_broadcast_into(u, r, "b", &mut buf);
+                assert_eq!(by_id(&a), by_id(&buf), "node {u}");
+                assert_eq!(plain.degree(u, r), cached.degree(u, r));
+                plain.tick_round();
+                cached.tick_round();
             }
-            assert_eq!(plain.degree(u, r), cached.degree(u, r));
-        }
+            (plain.take_ledger(), cached.take_ledger())
+        };
         assert_eq!(
-            plain.ledger().total_energy().to_bits(),
-            cached.ledger().total_energy().to_bits()
+            plain_ledger.total_energy().to_bits(),
+            cached_ledger.total_energy().to_bits()
         );
         assert_eq!(
-            plain.ledger().total_messages(),
-            cached.ledger().total_messages()
+            plain_ledger.total_messages(),
+            cached_ledger.total_messages()
         );
+        assert_eq!(plain_ledger.rx_count(), cached_ledger.rx_count());
+        assert!(plain_ledger.rx_count() > 0);
+        assert_eq!(
+            plain_ledger.rx_energy().to_bits(),
+            cached_ledger.rx_energy().to_bits()
+        );
+        let plain_trace = plain_sink.finish().unwrap();
+        assert!(!plain_trace.is_empty());
+        assert_eq!(plain_trace, cached_sink.finish().unwrap());
     }
 
     #[test]
@@ -1071,17 +1089,28 @@ mod tests {
     #[test]
     fn neighbors_into_matches_neighbors_under_cache_mismatch() {
         // A cached topology at a *different* radius must not poison
-        // queries at other radii: they fall through to the grid.
+        // queries at other radii, and at its own radius the answer is
+        // still the grid query, in grid visit order rather than the
+        // cached row's `(dist, id)` order.
         let pts = uniform_points(150, &mut trial_rng(75, 0));
-        let mut net = RadioNet::new(&pts, 0.05);
-        net.cache_topology(0.05);
+        let r0 = 0.1;
+        let mut net = RadioNet::new(&pts, r0);
+        net.cache_topology(r0);
         let mut buf = Vec::new();
-        for u in [0usize, 70, 149] {
-            for r in [0.02, 0.05, 0.3] {
+        let mut unsorted = 0;
+        for u in 0..150 {
+            for r in [0.02, r0, 0.3] {
                 net.neighbors_into(u, r, &mut buf);
                 assert_eq!(buf, net.neighbors(u, r), "u={u} r={r}");
+                assert_eq!(buf, net.grid().neighbors_within(u, r), "u={u} r={r}");
             }
+            net.neighbors_into(u, r0, &mut buf);
+            unsorted += usize::from(!buf.windows(2).all(|w| w[0].1 <= w[1].1));
         }
+        assert!(
+            unsorted > 0,
+            "some grid row must differ from its sorted row"
+        );
     }
 
     #[test]
@@ -1171,7 +1200,7 @@ mod tests {
                 .into_iter()
                 .filter(|&(v, _)| m.is_live(v))
                 .collect();
-            assert_eq!(buf, full, "live sublist must keep grid visit order");
+            assert_eq!(buf, full, "live sublist must keep the row's order");
         }
         // Silent broadcasts charge receptions for live neighbours only.
         let before = net.ledger().rx_count();
